@@ -139,8 +139,6 @@ pub struct CacheKernel {
     /// Ready queues.
     pub sched: Scheduler,
     pub(crate) accounts: BTreeMap<u16, KernelAccount>,
-    /// FIFO-with-second-chance reclaim order for mappings.
-    pub(crate) mapping_fifo: VecDeque<(u16, u32, Vpn)>,
     /// The ordered event pipeline drained by the executive.
     pub(crate) events: VecDeque<KernelEvent>,
     pub(crate) first_kernel: Option<ObjId>,
@@ -211,7 +209,6 @@ impl CacheKernel {
             physmap: PhysMap::new(config.mapping_capacity),
             sched: Scheduler::new(config.slice),
             accounts: BTreeMap::new(),
-            mapping_fifo: VecDeque::new(),
             events: VecDeque::with_capacity(64),
             first_kernel: None,
             resume_armed: false,

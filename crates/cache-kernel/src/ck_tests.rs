@@ -292,3 +292,50 @@ fn replacing_mapping_at_same_page() {
         other => panic!("unexpected writeback {other:?}"),
     }
 }
+
+fn load_page(ck: &mut CacheKernel, mpm: &mut Mpm, srm: ObjId, sp: ObjId, page: u32) {
+    let (va, pa) = (
+        Vaddr(0x10_0000 + page * 0x1000),
+        Paddr(0x20_0000 + page * 0x1000),
+    );
+    ck.load_mapping(srm, sp, va, pa, 0, None, None, mpm)
+        .unwrap();
+}
+
+#[test]
+fn explicit_unloads_leave_nothing_in_the_replacement_order() {
+    let (mut ck, mut mpm, srm) = setup();
+    let sp = ck.load_space(srm, SpaceDesc::default(), &mut mpm).unwrap();
+    // The old side queue grew by one entry per load and only reclaim
+    // popped it; the order now lives on the records themselves.
+    for i in 0..1_000_000u32 {
+        let page = i % 7;
+        load_page(&mut ck, &mut mpm, srm, sp, page);
+        let va = Vaddr(0x10_0000 + page * 0x1000);
+        let gone = ck.unload_mapping_range(srm, sp, va, 0x1000, &mut mpm);
+        assert_eq!(gone.unwrap().len(), 1);
+    }
+    assert_eq!((ck.physmap.p2v_len(), ck.physmap.oldest()), (0, None));
+    ck.check_invariants().unwrap();
+}
+
+#[test]
+fn reloaded_page_is_youngest_in_the_replacement_order() {
+    let (mut ck, mut mpm, srm) = setup();
+    let sp = ck.load_space(srm, SpaceDesc::default(), &mut mpm).unwrap();
+    for page in 0..32 {
+        load_page(&mut ck, &mut mpm, srm, sp, page);
+    }
+    // Page 0 is unloaded and comes back at the same address: it must not
+    // inherit its dead predecessor's place at the head of the order.
+    ck.unload_mapping_range(srm, sp, Vaddr(0x10_0000), 0x1000, &mut mpm)
+        .unwrap();
+    load_page(&mut ck, &mut mpm, srm, sp, 0);
+    load_page(&mut ck, &mut mpm, srm, sp, 32);
+    assert!(ck.query_mapping(srm, sp, Vaddr(0x10_0000)).is_ok());
+    assert_eq!(
+        ck.query_mapping(srm, sp, Vaddr(0x10_1000)),
+        Err(CkError::NoMapping),
+        "the oldest surviving page went instead"
+    );
+}

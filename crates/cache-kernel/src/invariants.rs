@@ -57,15 +57,14 @@ impl CacheKernel {
         }
         // Walk the arena in place (visit_records) instead of snapshotting
         // it: the checker runs inside property-test loops.
-        let mut p2v_handles: HashSet<u32> = HashSet::new();
         let mut p2v_pairs: HashSet<(u32, u32, u32)> = HashSet::new();
         let mut dup: Option<(u32, u32)> = None;
-        self.physmap.visit_records(|h, r| {
-            if r.context < CTX_COW {
-                p2v_handles.insert(h);
-                if !p2v_pairs.insert((r.context, r.dependent, r.key)) && dup.is_none() {
-                    dup = Some((r.context, r.dependent));
-                }
+        self.physmap.visit_records(|_, r| {
+            if r.context < CTX_COW
+                && !p2v_pairs.insert((r.context, r.dependent, r.key))
+                && dup.is_none()
+            {
+                dup = Some((r.context, r.dependent));
             }
         });
         if let Some(d) = dup {
@@ -79,34 +78,27 @@ impl CacheKernel {
             ));
         }
 
-        // 4. Signal and COW records attach to live p2v records; signal
-        //    targets are loaded threads (Fig. 6: signal mapping → thread).
+        // 4. The map's own links — hash chains, signal/COW attachments
+        //    (each hangs off the live p2v record it is keyed by),
+        //    per-thread signal lists, replacement order — mirror its
+        //    records exactly; signal targets are loaded threads (Fig. 6:
+        //    signal mapping → thread).
+        self.physmap.check_structure()?;
         let mut attach_err: Option<String> = None;
         self.physmap.visit_records(|_, r| {
-            if attach_err.is_some() {
-                return;
-            }
-            if r.context == CTX_SIGNAL {
-                if !p2v_handles.contains(&r.key) {
-                    attach_err = Some(format!(
-                        "signal record attached to dead p2v handle {}",
-                        r.key
-                    ));
-                } else if self.threads.get_slot(r.dependent as u16).is_none() {
-                    attach_err = Some(format!(
-                        "signal record targets unloaded thread slot {}",
-                        r.dependent
-                    ));
-                }
-            } else if r.context == CTX_COW && !p2v_handles.contains(&r.key) {
-                attach_err = Some(format!("COW record attached to dead p2v handle {}", r.key));
+            if r.context == CTX_SIGNAL
+                && attach_err.is_none()
+                && self.threads.get_slot(r.dependent as u16).is_none()
+            {
+                attach_err = Some(format!(
+                    "signal record targets unloaded thread slot {}",
+                    r.dependent
+                ));
             }
         });
         if let Some(e) = attach_err {
             return Err(e);
         }
-        // 4b. The per-thread signal index mirrors the arena exactly.
-        self.physmap.check_signal_index()?;
 
         // 5. Locked-object counts match reality.
         for (kid, k) in self.kernels.iter() {

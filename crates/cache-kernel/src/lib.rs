@@ -105,7 +105,7 @@ pub use objects::{
     ThreadState, IDLE_PRIORITY, MAX_CPUS, MAX_PRIORITY, PRIORITY_LEVELS,
 };
 pub use overload::{KernelOverload, OverloadState, ThrashState};
-pub use physmap::{DepRecord, P2v, PhysMap, RecHandle, CTX_COW, CTX_SIGNAL};
+pub use physmap::{DepRecord, Detached, P2v, PhysMap, RecHandle, CTX_COW, CTX_SIGNAL};
 pub use program::{CodeStore, FnProgram, ForkableFn, ProgId, Program, Script, Step, ThreadCtx};
 pub use recover::RecoveryReport;
 pub use sched::{Pick, Scheduler};

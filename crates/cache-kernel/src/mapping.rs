@@ -137,13 +137,11 @@ impl CacheKernel {
             self.physmap.attach_cow(handle, src);
         }
         let pte = Pte::new(paddr.pfn(), flags & !(Pte::REFERENCED | Pte::MODIFIED));
-        let space_gen = space.gen;
         self.space_mut(space)?.pt.insert(vpn, pte);
         self.space_mut(space)?.referenced = true;
         if flags & Pte::LOCKED != 0 {
             self.kernel_mut(caller)?.locked_mappings += 1;
         }
-        self.mapping_fifo.push_back((space.slot, space_gen, vpn));
         self.stats.loads[STAT_MAPPING] += 1;
         self.note_loaded(caller, STAT_MAPPING);
         Ok(())

@@ -9,8 +9,8 @@
 //! Delivery first tries the per-processor reverse TLB (fast path); on a
 //! miss it performs the two-stage physical-memory-map lookup — the
 //! physical-to-virtual records for the page, then the signal records for
-//! each — and refills the reverse TLB, re-checking the map version in the
-//! §4.2 optimistic style before trusting the refill.
+//! each — and refills the reverse TLB. The map belongs to this shard's
+//! Cache Kernel alone, so the walk needs no §4.2 version re-check.
 
 use crate::ck::CacheKernel;
 use crate::events::KernelEvent;
@@ -86,28 +86,22 @@ impl CacheKernel {
             mpm.cpus[cpu].rtlb.invalidate(pfn);
         }
 
-        // Slow path: two-stage lookup with optimistic version check. The
-        // receiver list lands in a CK-owned scratch buffer so a steady
-        // stream of slow-path signals allocates nothing.
+        // Slow path: the two-stage lookup. The map is this shard's alone,
+        // so it cannot change under the walk and §4.2's optimistic version
+        // check has nothing to retry. The receiver list lands in a
+        // CK-owned scratch buffer so a steady stream of slow-path signals
+        // allocates nothing.
         mpm.clock.charge(signal_slow);
         mpm.cpus[cpu].consume(signal_slow);
         let mut receivers = core::mem::take(&mut self.signal_scratch);
-        loop {
-            receivers.clear();
-            let version = self.physmap.version();
-            self.physmap.visit_signals(paddr, |thread, asid, vaddr| {
-                receivers.push((thread, asid, vaddr))
-            });
-            if self.physmap.version() == version {
-                // Refill the reverse TLB only if the map stayed stable
-                // under us (§4.2); a sole receiver keeps the entry useful.
-                if receivers.len() == 1 {
-                    let (thread, _asid, vaddr) = receivers[0];
-                    mpm.cpus[cpu].rtlb.insert(pfn, RtlbEntry { vaddr, thread });
-                }
-                break;
-            }
-            // Map changed concurrently: retry the lookup.
+        receivers.clear();
+        self.physmap.visit_signals(paddr, |thread, asid, vaddr| {
+            receivers.push((thread, asid, vaddr))
+        });
+        // Refill the reverse TLB: a sole receiver keeps the entry useful.
+        if receivers.len() == 1 {
+            let (thread, _asid, vaddr) = receivers[0];
+            mpm.cpus[cpu].rtlb.insert(pfn, RtlbEntry { vaddr, thread });
         }
         let n = receivers.len();
         for &(thread, _asid, vaddr) in &receivers {

@@ -11,22 +11,25 @@
 //! thread, and whose context is a special signal value. Copy-on-write
 //! sources are recorded the same way.
 //!
-//! The map is versioned in the style of §4.2's non-blocking
-//! synchronization: every mutation bumps an atomic version counter, so a
-//! processor loading a derived structure (e.g. a reverse-TLB entry) can
-//! check that the map did not change concurrently and retry its lookup if
-//! it did. Mutations and lookups are internally synchronized, so the map
-//! is safe to hammer from multiple threads.
+//! One flat arena, owned by exactly one (per-shard) Cache Kernel, so
+//! mutation is `&mut self` and a lookup holding `&self` cannot see the
+//! map change under it. Only p2v records are hashed, by frame; the one
+//! signal and one COW record a mapping can carry are side links of its
+//! p2v record, a thread's signal records form a list, and the p2v records
+//! form the replacement order (oldest first). All of these are links
+//! inside the arena, so every load/unload-path operation is O(1)
+//! expected. The version counter (§4.2) still ticks on every mutation for
+//! structures derived from the map and kept across calls.
 
-use hw::{Paddr, Vaddr};
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use hw::{Paddr, Vaddr, PAGE_SHIFT};
 
 /// Context value marking a signal-thread dependency record.
 pub const CTX_SIGNAL: u32 = 0xffff_ffff;
 /// Context value marking a copy-on-write source record.
 pub const CTX_COW: u32 = 0xffff_fffe;
+/// Context of a record on the free list; every smaller context is an
+/// address-space tag.
+const CTX_FREE: u32 = 0xffff_fffd;
 
 /// Handle of a record in the map (arena index + 1; 0 is "null").
 pub type RecHandle = u32;
@@ -41,7 +44,8 @@ pub struct DepRecord {
     pub dependent: u32,
     /// Address-space tag, [`CTX_SIGNAL`], or [`CTX_COW`].
     pub context: u32,
-    /// Hash chain link (next record handle in the bucket, 0 = end).
+    /// The link pointer: next record in the hash chain (p2v records) or
+    /// on the free list; 0 = end.
     next: u32,
 }
 
@@ -58,22 +62,89 @@ pub struct P2v {
     pub vaddr: Vaddr,
 }
 
-struct Inner {
-    records: Vec<DepRecord>,
-    /// Occupancy flag per record (a record can be all-zero yet live).
-    live: Vec<bool>,
-    buckets: Vec<u32>,
-    free: Vec<u32>, // free arena indices
-    count: usize,
-    /// Thread slot → arena indices of its live signal records, in attach
-    /// order. Keeps thread unload from scanning the whole arena.
-    sig_index: BTreeMap<u32, Vec<u32>>,
+/// What hung off a removed physical-to-virtual record.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Detached {
+    /// The signal thread slot registered on it, if any.
+    pub signal: Option<u32>,
+    /// The copy-on-write source frame recorded on it, if any.
+    pub cow: Option<Paddr>,
 }
+
+/// Simulator-side links of an arena slot, parallel to its record (the
+/// modelled descriptor stays 16 bytes).
+#[derive(Clone, Copy, Default)]
+struct Side {
+    /// p2v: the COW-source and signal records attached to it, at [`att`]
+    /// of their context.
+    attached: [RecHandle; 2],
+    /// p2v: neighbours in the replacement order. Signal: neighbours in
+    /// its thread's signal list.
+    prev: RecHandle,
+    next: RecHandle,
+}
+
+/// Arena index of a non-null handle.
+fn ix(h: RecHandle) -> usize {
+    h as usize - 1
+}
+
+/// A link as an iteration step: `None` at the end of a chain.
+fn nz(h: RecHandle) -> Option<RecHandle> {
+    (h != 0).then_some(h)
+}
+
+/// Where a p2v record's [`Side::attached`] keeps the record of context
+/// `ctx` ([`CTX_COW`] or [`CTX_SIGNAL`]).
+fn att(ctx: u32) -> usize {
+    (ctx - CTX_COW) as usize
+}
+
+/// `(head, tail)` of a list threaded through [`Side::prev`]/[`Side::next`].
+type Ends = (RecHandle, RecHandle);
+
+fn push_back(side: &mut [Side], ends: &mut Ends, h: RecHandle) {
+    side[ix(h)].prev = ends.1;
+    side[ix(h)].next = 0;
+    match ends.1 {
+        0 => ends.0 = h,
+        t => side[ix(t)].next = h,
+    }
+    ends.1 = h;
+}
+
+fn unlink(side: &mut [Side], ends: &mut Ends, h: RecHandle) {
+    let Side { prev, next, .. } = side[ix(h)];
+    match prev {
+        0 => ends.0 = next,
+        p => side[ix(p)].next = next,
+    }
+    match next {
+        0 => ends.1 = prev,
+        n => side[ix(n)].prev = prev,
+    }
+}
+
+const MIN_BUCKETS: usize = 16;
+/// Most distinct frames [`PhysMap::check_structure`] tolerates in one
+/// hash chain (a uniform hash at load factor ≤ 1 stays under 10).
+const MAX_CHAIN_FRAMES: usize = 16;
 
 /// The versioned physical memory map.
 pub struct PhysMap {
-    inner: RwLock<Inner>,
-    version: AtomicU64,
+    records: Vec<DepRecord>,
+    side: Vec<Side>,
+    /// Hash heads of the p2v records; doubles while it is shorter than
+    /// the p2v count, so load factor ≤ 1 and memory follows residency.
+    buckets: Vec<RecHandle>,
+    free: RecHandle,
+    count: usize,
+    p2v_count: usize,
+    /// Replacement order of the p2v records, oldest first.
+    order: Ends,
+    /// Thread slot → its signal records, in attach order.
+    sig_lists: Vec<Ends>,
+    version: u64,
     capacity: usize,
 }
 
@@ -81,17 +152,16 @@ impl PhysMap {
     /// A map able to hold `capacity` records (Table 1 provisions 65 536
     /// MemMapEntry descriptors).
     pub fn new(capacity: usize) -> Self {
-        let nbuckets = (capacity / 4).next_power_of_two().max(16);
         PhysMap {
-            inner: RwLock::new(Inner {
-                records: Vec::new(),
-                live: Vec::new(),
-                buckets: vec![0; nbuckets],
-                free: Vec::new(),
-                count: 0,
-                sig_index: BTreeMap::new(),
-            }),
-            version: AtomicU64::new(0),
+            records: Vec::new(),
+            side: Vec::new(),
+            buckets: vec![0; MIN_BUCKETS],
+            free: 0,
+            count: 0,
+            p2v_count: 0,
+            order: (0, 0),
+            sig_lists: Vec::new(),
+            version: 0,
             capacity,
         }
     }
@@ -103,427 +173,439 @@ impl PhysMap {
 
     /// Number of live records (of all three flavors).
     pub fn len(&self) -> usize {
-        self.inner.read().count
+        self.count
     }
 
     /// Whether the map holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.count == 0
+    }
+
+    /// Number of live physical-to-virtual records: the length of the
+    /// replacement order.
+    pub fn p2v_len(&self) -> usize {
+        self.p2v_count
     }
 
     /// Bytes consumed by live records (16 each), for the §5.2 space
     /// accounting.
     pub fn bytes(&self) -> usize {
-        self.len() * core::mem::size_of::<DepRecord>()
+        self.count * core::mem::size_of::<DepRecord>()
     }
 
-    /// Current version; bumped on every mutation. Callers deriving side
-    /// structures re-check this and retry if it moved (§4.2).
+    /// Current version; bumped on every mutation. A structure derived
+    /// from the map and kept across calls re-checks it (§4.2).
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        self.version
     }
 
-    fn bump(&self) {
-        self.version.fetch_add(1, Ordering::AcqRel);
+    /// Fibonacci hash of the frame number, taking the product's *high*
+    /// bits: its low bits depend only on the key's low bits, which are
+    /// all zero in a page-aligned key.
+    fn bucket_of(&self, key: u32) -> usize {
+        let shift = 32 - self.buckets.len().trailing_zeros();
+        ((key >> PAGE_SHIFT).wrapping_mul(0x9e37_79b9) >> shift) as usize
     }
 
-    fn bucket_of(nbuckets: usize, key: u32) -> usize {
-        // Fibonacci hashing over the key.
-        ((key.wrapping_mul(0x9e37_79b9)) as usize) & (nbuckets - 1)
-    }
-
-    fn alloc(inner: &mut Inner, rec: DepRecord) -> Option<u32> {
-        let idx = match inner.free.pop() {
-            Some(i) => {
-                inner.records[i as usize] = rec;
-                inner.live[i as usize] = true;
-                i
-            }
-            None => {
-                inner.records.push(rec);
-                inner.live.push(true);
-                (inner.records.len() - 1) as u32
-            }
-        };
-        inner.count += 1;
-        Some(idx)
-    }
-
-    fn link(inner: &mut Inner, idx: u32) {
-        let b = Self::bucket_of(inner.buckets.len(), inner.records[idx as usize].key);
-        inner.records[idx as usize].next = inner.buckets[b];
-        inner.buckets[b] = idx + 1;
-    }
-
-    /// Returns whether the record was found in its bucket chain. A miss
-    /// means the map is corrupted; callers surface it as an error rather
-    /// than panicking mid-reclamation.
-    fn unlink(inner: &mut Inner, idx: u32) -> bool {
-        let Some(rec) = inner.records.get(idx as usize).copied() else {
-            return false;
-        };
-        let b = Self::bucket_of(inner.buckets.len(), rec.key);
-        let mut cur = inner.buckets[b];
-        let mut prev: Option<u32> = None;
-        while cur != 0 {
-            let i = cur - 1;
-            if i == idx {
-                let next = inner.records[i as usize].next;
-                match prev {
-                    Some(p) => inner.records[p as usize].next = next,
-                    None => inner.buckets[b] = next,
+    /// Double the bucket array. Bucket `b` splits into `2b` and `2b + 1`
+    /// (one more high bit); each chain is split stably, so the records
+    /// of one frame keep their newest-first order.
+    fn grow_buckets(&mut self) {
+        let old = core::mem::take(&mut self.buckets);
+        self.buckets = vec![0; old.len() * 2];
+        for mut cur in old {
+            let mut tails = [0; 2];
+            while cur != 0 {
+                let b = self.bucket_of(self.records[ix(cur)].key);
+                match core::mem::replace(&mut tails[b & 1], cur) {
+                    0 => self.buckets[b] = cur,
+                    t => self.records[ix(t)].next = cur,
                 }
-                inner.live[i as usize] = false;
-                inner.records[i as usize] = DepRecord::default();
-                inner.free.push(i);
-                inner.count -= 1;
-                if rec.context == CTX_SIGNAL {
-                    // Keep the per-thread signal index in sync (tolerates
-                    // an already-removed entry: remove_signals_of_thread
-                    // drains the whole list up front).
-                    if let Some(v) = inner.sig_index.get_mut(&rec.dependent) {
-                        v.retain(|&x| x != idx);
-                        if v.is_empty() {
-                            inner.sig_index.remove(&rec.dependent);
-                        }
-                    }
-                }
-                return true;
+                cur = core::mem::take(&mut self.records[ix(cur)].next);
             }
-            prev = Some(i);
-            cur = match inner.records.get(i as usize) {
-                Some(r) => r.next,
-                None => break,
-            };
         }
-        false
     }
 
-    fn insert_record(&self, rec: DepRecord) -> Option<RecHandle> {
-        let mut inner = self.inner.write();
-        if inner.count >= self.capacity {
+    fn alloc(&mut self, rec: DepRecord) -> Option<RecHandle> {
+        if self.count >= self.capacity {
             return None;
         }
-        let idx = Self::alloc(&mut inner, rec)?;
-        Self::link(&mut inner, idx);
-        if rec.context == CTX_SIGNAL {
-            inner.sig_index.entry(rec.dependent).or_default().push(idx);
-        }
-        drop(inner);
-        self.bump();
-        Some(idx + 1)
+        let h = match self.free {
+            0 => {
+                self.records.push(rec);
+                self.side.push(Side::default());
+                self.records.len() as RecHandle
+            }
+            h => {
+                self.free = self.records[ix(h)].next;
+                self.records[ix(h)] = rec;
+                h
+            }
+        };
+        self.count += 1;
+        self.version += 1;
+        Some(h)
     }
 
-    /// Record a physical-to-virtual mapping. Returns `None` if the map is
-    /// at capacity (the Cache Kernel reclaims a mapping first).
-    pub fn insert_p2v(&self, paddr: Paddr, vaddr: Vaddr, asid: u32) -> Option<RecHandle> {
-        debug_assert!(asid < CTX_COW);
-        self.insert_record(DepRecord {
-            key: paddr.page_base().0,
+    fn release(&mut self, h: RecHandle) {
+        self.records[ix(h)] = DepRecord {
+            context: CTX_FREE,
+            next: self.free,
+            ..DepRecord::default()
+        };
+        self.side[ix(h)] = Side::default();
+        self.free = h;
+        self.count -= 1;
+    }
+
+    /// The live p2v record behind `handle`, if it names one.
+    fn p2v(&self, handle: RecHandle) -> Option<&DepRecord> {
+        let r = self.records.get((handle as usize).checked_sub(1)?)?;
+        (r.context < CTX_FREE).then_some(r)
+    }
+
+    /// The p2v records hashed to `key`'s bucket, newest first.
+    fn chain(&self, key: u32) -> impl Iterator<Item = RecHandle> + '_ {
+        let head = self.buckets[self.bucket_of(key)];
+        core::iter::successors(nz(head), |&h| nz(self.records[ix(h)].next))
+    }
+
+    /// The record for exactly `(paddr, asid, vaddr)` with its predecessor
+    /// in the hash chain (0 = the bucket head).
+    fn find_exact(&self, paddr: Paddr, asid: u32, vaddr: Vaddr) -> Option<(RecHandle, RecHandle)> {
+        let (key, vpage) = (paddr.page_base().0, vaddr.page_base().0);
+        let mut prev = 0;
+        for h in self.chain(key) {
+            let r = &self.records[ix(h)];
+            if r.key == key && r.context == asid && r.dependent == vpage {
+                return Some((prev, h));
+            }
+            prev = h;
+        }
+        None
+    }
+
+    /// Record a physical-to-virtual mapping, youngest in the replacement
+    /// order. Returns `None` if the map is at capacity (the Cache Kernel
+    /// reclaims a mapping first).
+    pub fn insert_p2v(&mut self, paddr: Paddr, vaddr: Vaddr, asid: u32) -> Option<RecHandle> {
+        debug_assert!(asid < CTX_FREE);
+        let key = paddr.page_base().0;
+        let h = self.alloc(DepRecord {
+            key,
             dependent: vaddr.page_base().0,
             context: asid,
             next: 0,
-        })
+        })?;
+        if self.p2v_count >= self.buckets.len() {
+            self.grow_buckets();
+        }
+        let b = self.bucket_of(key);
+        self.records[ix(h)].next = self.buckets[b];
+        self.buckets[b] = h;
+        push_back(&mut self.side, &mut self.order, h);
+        self.p2v_count += 1;
+        Some(h)
+    }
+
+    fn as_p2v(&self, handle: RecHandle) -> P2v {
+        let r = &self.records[ix(handle)];
+        P2v {
+            handle,
+            asid: r.context,
+            vaddr: Vaddr(r.dependent),
+        }
     }
 
     /// Visit every physical-to-virtual record for the frame containing
-    /// `paddr`, allocation-free, under one read lock. The hot-path form
-    /// of [`PhysMap::find_p2v`].
+    /// `paddr`, newest first, allocation-free.
     pub fn visit_p2v(&self, paddr: Paddr, mut f: impl FnMut(P2v)) {
         let key = paddr.page_base().0;
-        let inner = self.inner.read();
-        let b = Self::bucket_of(inner.buckets.len(), key);
-        let mut cur = inner.buckets[b];
-        while cur != 0 {
-            let Some(r) = inner.records.get((cur - 1) as usize).copied() else {
-                break; // corrupted chain: stop walking, never panic
-            };
-            if r.key == key && r.context < CTX_COW {
-                f(P2v {
-                    handle: cur,
-                    asid: r.context,
-                    vaddr: Vaddr(r.dependent),
-                });
+        for h in self.chain(key) {
+            if self.records[ix(h)].key == key {
+                f(self.as_p2v(h));
             }
-            cur = r.next;
         }
-    }
-
-    /// All physical-to-virtual records for the frame containing `paddr`.
-    /// Convenience wrapper over [`PhysMap::visit_p2v`] (allocates).
-    pub fn find_p2v(&self, paddr: Paddr) -> Vec<P2v> {
-        let mut out = Vec::new();
-        self.visit_p2v(paddr, |m| out.push(m));
-        out
     }
 
     /// The specific physical-to-virtual record for `(paddr, asid, vaddr)`.
-    /// Direct chain walk with early return; no allocation.
     pub fn find_p2v_exact(&self, paddr: Paddr, asid: u32, vaddr: Vaddr) -> Option<RecHandle> {
-        let key = paddr.page_base().0;
-        let vpage = vaddr.page_base().0;
-        let inner = self.inner.read();
-        let b = Self::bucket_of(inner.buckets.len(), key);
-        let mut cur = inner.buckets[b];
-        while cur != 0 {
-            let Some(r) = inner.records.get((cur - 1) as usize).copied() else {
-                break;
-            };
-            if r.key == key && r.context == asid && r.dependent == vpage {
-                return Some(cur);
-            }
-            cur = r.next;
-        }
-        None
+        self.find_exact(paddr, asid, vaddr).map(|(_, h)| h)
     }
 
-    /// Remove a physical-to-virtual record and any signal/COW records
-    /// attached to it, returning the mapping it described.
-    pub fn remove_p2v(&self, handle: RecHandle) -> Option<(Paddr, Vaddr, u32)> {
-        let mut inner = self.inner.write();
-        let idx = handle.checked_sub(1)?;
-        if !*inner.live.get(idx as usize)? {
+    /// Remove the physical-to-virtual record for `(paddr, asid, vaddr)`
+    /// and the signal/COW records attached to it, in one chain walk;
+    /// reports what was attached.
+    pub fn remove_p2v_exact(&mut self, paddr: Paddr, asid: u32, vaddr: Vaddr) -> Option<Detached> {
+        let (prev, h) = self.find_exact(paddr, asid, vaddr)?;
+        let rec = self.records[ix(h)];
+        match prev {
+            0 => {
+                let b = self.bucket_of(rec.key);
+                self.buckets[b] = rec.next;
+            }
+            p => self.records[ix(p)].next = rec.next,
+        }
+        unlink(&mut self.side, &mut self.order, h);
+        self.p2v_count -= 1;
+        let [cow, signal] = self.side[ix(h)].attached;
+        let dependent = |a| nz(a).map(|a| self.records[ix(a)].dependent);
+        let gone = Detached {
+            signal: dependent(signal),
+            cow: dependent(cow).map(Paddr),
+        };
+        if let Some(thread) = gone.signal {
+            unlink(&mut self.side, &mut self.sig_lists[thread as usize], signal);
+        }
+        for r in [cow, signal, h] {
+            if r != 0 {
+                self.release(r);
+            }
+        }
+        self.version += 1;
+        Some(gone)
+    }
+
+    /// The oldest physical-to-virtual record in the replacement order.
+    pub fn oldest(&self) -> Option<P2v> {
+        nz(self.order.0).map(|h| self.as_p2v(h))
+    }
+
+    /// Move a physical-to-virtual record to the young end of the
+    /// replacement order (second chance, or passed over as pinned).
+    pub fn requeue(&mut self, handle: RecHandle) {
+        if self.p2v(handle).is_some() {
+            unlink(&mut self.side, &mut self.order, handle);
+            push_back(&mut self.side, &mut self.order, handle);
+        }
+    }
+
+    /// Hang a record with context `ctx` off a physical-to-virtual record;
+    /// `None` if it already carries one, or the map is full.
+    fn attach(&mut self, p2v: RecHandle, dependent: u32, ctx: u32) -> Option<RecHandle> {
+        self.p2v(p2v)?;
+        if self.side[ix(p2v)].attached[att(ctx)] != 0 {
             return None;
         }
-        let rec = inner.records[idx as usize];
-        if rec.context >= CTX_COW {
-            return None; // not a p2v record
-        }
-        // Cascade: remove attached signal/COW records (their key is our
-        // handle).
-        let attached: Vec<u32> = {
-            let b = Self::bucket_of(inner.buckets.len(), handle);
-            let mut v = Vec::new();
-            let mut cur = inner.buckets[b];
-            while cur != 0 {
-                let Some(r) = inner.records.get((cur - 1) as usize).copied() else {
-                    break;
-                };
-                if r.key == handle && r.context >= CTX_COW {
-                    v.push(cur - 1);
-                }
-                cur = r.next;
-            }
-            v
-        };
-        for a in attached {
-            Self::unlink(&mut inner, a);
-        }
-        Self::unlink(&mut inner, idx);
-        drop(inner);
-        self.bump();
-        Some((Paddr(rec.key), Vaddr(rec.dependent), rec.context))
-    }
-
-    /// First record attached to `handle` with context `ctx`, walking the
-    /// handle-keyed bucket chain directly (no allocation).
-    fn attached_first(inner: &Inner, handle: RecHandle, ctx: u32) -> Option<u32> {
-        let b = Self::bucket_of(inner.buckets.len(), handle);
-        let mut cur = inner.buckets[b];
-        while cur != 0 {
-            let Some(r) = inner.records.get((cur - 1) as usize).copied() else {
-                break;
-            };
-            if r.key == handle && r.context == ctx {
-                return Some(r.dependent);
-            }
-            cur = r.next;
-        }
-        None
-    }
-
-    /// Attach a signal-thread record to a physical-to-virtual record.
-    pub fn attach_signal(&self, p2v: RecHandle, thread_slot: u32) -> Option<RecHandle> {
-        self.insert_record(DepRecord {
+        let h = self.alloc(DepRecord {
             key: p2v,
-            dependent: thread_slot,
-            context: CTX_SIGNAL,
+            dependent,
+            context: ctx,
             next: 0,
-        })
+        })?;
+        self.side[ix(p2v)].attached[att(ctx)] = h;
+        Some(h)
     }
 
-    /// Attach a copy-on-write source record to a physical-to-virtual
+    /// Attach the signal-thread record of a physical-to-virtual record.
+    pub fn attach_signal(&mut self, p2v: RecHandle, thread_slot: u32) -> Option<RecHandle> {
+        let h = self.attach(p2v, thread_slot, CTX_SIGNAL)?;
+        let slot = thread_slot as usize;
+        if self.sig_lists.len() <= slot {
+            self.sig_lists.resize(slot + 1, (0, 0));
+        }
+        push_back(&mut self.side, &mut self.sig_lists[slot], h);
+        Some(h)
+    }
+
+    /// Attach the copy-on-write source record of a physical-to-virtual
     /// record.
-    pub fn attach_cow(&self, p2v: RecHandle, source: Paddr) -> Option<RecHandle> {
-        self.insert_record(DepRecord {
-            key: p2v,
-            dependent: source.page_base().0,
-            context: CTX_COW,
-            next: 0,
-        })
+    pub fn attach_cow(&mut self, p2v: RecHandle, source: Paddr) -> Option<RecHandle> {
+        self.attach(p2v, source.page_base().0, CTX_COW)
+    }
+
+    /// Dependent of the `ctx` record attached to a p2v record.
+    fn attached(&self, p2v: RecHandle, ctx: u32) -> Option<u32> {
+        self.p2v(p2v)?;
+        let a = self.side[ix(p2v)].attached[att(ctx)];
+        nz(a).map(|a| self.records[ix(a)].dependent)
     }
 
     /// The signal thread registered on a physical-to-virtual record.
     pub fn signal_of(&self, p2v: RecHandle) -> Option<u32> {
-        let inner = self.inner.read();
-        Self::attached_first(&inner, p2v, CTX_SIGNAL)
+        self.attached(p2v, CTX_SIGNAL)
     }
 
     /// The COW source registered on a physical-to-virtual record.
     pub fn cow_source_of(&self, p2v: RecHandle) -> Option<Paddr> {
-        let inner = self.inner.read();
-        Self::attached_first(&inner, p2v, CTX_COW).map(Paddr)
+        self.attached(p2v, CTX_COW).map(Paddr)
     }
 
     /// The two-stage lookup used for slow-path signal delivery (§4.1),
-    /// allocation-free: find the physical-to-virtual records for the
-    /// page, then the signal records for each, all under one read lock.
-    /// Yields `(thread_slot, asid, receiver vaddr)`.
+    /// allocation-free: the physical-to-virtual records for the page,
+    /// then the signal record attached to each. Yields `(thread_slot,
+    /// asid, receiver vaddr)`.
     pub fn visit_signals(&self, paddr: Paddr, mut f: impl FnMut(u32, u32, Vaddr)) {
-        let key = paddr.page_base().0;
-        let inner = self.inner.read();
-        let b = Self::bucket_of(inner.buckets.len(), key);
-        let mut cur = inner.buckets[b];
-        while cur != 0 {
-            let Some(r) = inner.records.get((cur - 1) as usize).copied() else {
-                break;
-            };
-            if r.key == key && r.context < CTX_COW {
-                // Stage 2: signal records keyed by this p2v handle.
-                let sb = Self::bucket_of(inner.buckets.len(), cur);
-                let mut scur = inner.buckets[sb];
-                while scur != 0 {
-                    let Some(s) = inner.records.get((scur - 1) as usize).copied() else {
-                        break;
-                    };
-                    if s.key == cur && s.context == CTX_SIGNAL {
-                        f(s.dependent, r.context, Vaddr(r.dependent));
-                    }
-                    scur = s.next;
-                }
+        self.visit_p2v(paddr, |m| {
+            if let Some(thread) = self.signal_of(m.handle) {
+                f(thread, m.asid, m.vaddr);
             }
-            cur = r.next;
-        }
-    }
-
-    /// The two-stage lookup as a `Vec`; wrapper over
-    /// [`PhysMap::visit_signals`].
-    pub fn signals_for(&self, paddr: Paddr) -> Vec<(u32, u32, Vaddr)> {
-        let mut out = Vec::new();
-        self.visit_signals(paddr, |t, asid, v| out.push((t, asid, v)));
-        out
+        });
     }
 
     /// Remove every signal record pointing at `thread_slot` (the thread is
     /// being unloaded; signal mappings depend on it per Fig. 6). Returns
-    /// the affected physical-to-virtual record handles. Served from the
-    /// per-thread signal index — O(signals of this thread), not an arena
-    /// scan.
-    pub fn remove_signals_of_thread(&self, thread_slot: u32) -> Vec<RecHandle> {
-        let mut inner = self.inner.write();
-        let victims = inner.sig_index.remove(&thread_slot).unwrap_or_default();
-        let mut affected = Vec::with_capacity(victims.len());
-        for v in victims {
-            let Some(r) = inner.records.get(v as usize).copied() else {
-                continue;
-            };
-            if !inner.live.get(v as usize).copied().unwrap_or(false)
-                || r.context != CTX_SIGNAL
-                || r.dependent != thread_slot
-            {
-                continue; // defensive: stale index entry
-            }
-            affected.push(r.key);
-            Self::unlink(&mut inner, v);
+    /// the affected physical-to-virtual record handles, in attach order.
+    pub fn remove_signals_of_thread(&mut self, thread_slot: u32) -> Vec<RecHandle> {
+        let ends = self.sig_lists.get_mut(thread_slot as usize);
+        let mut s = ends.map_or(0, |e| core::mem::take(e).0);
+        let mut affected = Vec::new();
+        while s != 0 {
+            let p2v = self.records[ix(s)].key;
+            self.side[ix(p2v)].attached[att(CTX_SIGNAL)] = 0;
+            let after = self.side[ix(s)].next;
+            self.release(s);
+            affected.push(p2v);
+            s = after;
         }
         if !affected.is_empty() {
-            drop(inner);
-            self.bump();
+            self.version += 1;
         }
         affected
     }
 
     /// The physical-to-virtual mappings that have a signal record pointing
     /// at `thread_slot` — i.e. the signal mappings that depend on the
-    /// thread (Fig. 6) and must be unloaded when it is. Served from the
-    /// per-thread signal index, in attach order (deterministic).
-    pub fn signal_mappings_of_thread(&self, thread_slot: u32) -> Vec<(Paddr, Vaddr, u32)> {
-        let inner = self.inner.read();
-        let Some(idxs) = inner.sig_index.get(&thread_slot) else {
-            return Vec::new();
-        };
-        idxs.iter()
-            .filter_map(|&i| {
-                let s = inner.records.get(i as usize).copied()?;
-                let idx = s.key.checked_sub(1)? as usize;
-                if !inner.live.get(idx).copied().unwrap_or(false) {
-                    return None;
-                }
-                let r = inner.records.get(idx).copied()?;
-                (r.context < CTX_COW).then_some((Paddr(r.key), Vaddr(r.dependent), r.context))
-            })
+    /// thread (Fig. 6) and must be unloaded when it is — in attach order.
+    pub fn signal_mappings_of_thread(&self, thread_slot: u32) -> Vec<P2v> {
+        let first = self.sig_lists.get(thread_slot as usize).map_or(0, |e| e.0);
+        core::iter::successors(nz(first), |&s| nz(self.side[ix(s)].next))
+            .map(|s| self.as_p2v(self.records[ix(s)].key))
             .collect()
     }
 
-    /// Visit all live records under one read lock, allocation-free (the
+    /// Visit all live records in arena order, allocation-free (the
     /// invariant checker's walk).
     pub fn visit_records(&self, mut f: impl FnMut(RecHandle, &DepRecord)) {
-        let inner = self.inner.read();
-        for (i, r) in inner.records.iter().enumerate() {
-            if inner.live[i] {
-                f(i as u32 + 1, r);
+        for (i, r) in self.records.iter().enumerate() {
+            if r.context != CTX_FREE {
+                f(i as RecHandle + 1, r);
             }
         }
     }
 
-    /// Snapshot of all live records (diagnostics); wrapper over
-    /// [`PhysMap::visit_records`].
-    pub fn records(&self) -> Vec<(RecHandle, DepRecord)> {
-        let mut out = Vec::new();
-        self.visit_records(|h, r| out.push((h, *r)));
-        out
-    }
-
-    /// Whether any live signal record targets `thread_slot`. Index probe,
-    /// not an arena scan.
-    pub fn thread_has_signals(&self, thread_slot: u32) -> bool {
-        let inner = self.inner.read();
-        inner
-            .sig_index
-            .get(&thread_slot)
-            .is_some_and(|v| !v.is_empty())
-    }
-
-    /// Verify the per-thread signal index against the arena: every index
-    /// entry names a live signal record of that thread, and every live
-    /// signal record appears in the index exactly once. Returns an error
-    /// description on the first inconsistency (invariant checking).
-    pub fn check_signal_index(&self) -> Result<(), String> {
-        let inner = self.inner.read();
-        let mut indexed = 0usize;
-        for (&slot, idxs) in &inner.sig_index {
-            for &i in idxs {
-                let r = inner
-                    .records
-                    .get(i as usize)
-                    .ok_or_else(|| format!("sig_index[{slot}] names out-of-range record {i}"))?;
-                if !inner.live.get(i as usize).copied().unwrap_or(false) {
-                    return Err(format!("sig_index[{slot}] names dead record {i}"));
-                }
-                if r.context != CTX_SIGNAL || r.dependent != slot {
-                    return Err(format!("sig_index[{slot}] names non-signal record {i}"));
-                }
-                indexed += 1;
+    /// Walk one `prev`/`next` list: every entry is a record passing
+    /// `member`, back links mirror forward links, the tail is the last
+    /// entry. Returns its length.
+    fn check_list(
+        &self,
+        name: &str,
+        ends: Ends,
+        member: impl Fn(&DepRecord) -> bool,
+    ) -> Result<usize, String> {
+        let (mut len, mut prev, mut cur) = (0usize, 0, ends.0);
+        while cur != 0 {
+            let side = self.side[ix(cur)];
+            if !member(&self.records[ix(cur)]) || side.prev != prev || len == self.count {
+                return Err(format!("{name}: bad entry {cur} after {prev}"));
             }
+            len += 1;
+            (prev, cur) = (cur, side.next);
         }
-        let live_signals = inner
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(i, r)| inner.live[*i] && r.context == CTX_SIGNAL)
-            .count();
-        if indexed != live_signals {
+        if ends.1 != prev {
+            return Err(format!("{name}: tail {}, walk ended at {prev}", ends.1));
+        }
+        Ok(len)
+    }
+
+    /// Verify the arena's links against its records: every live p2v
+    /// record is reachable from exactly its own bucket; no chain holds
+    /// more than [`MAX_CHAIN_FRAMES`] distinct frames; every live
+    /// signal/COW record is the attachment of the live p2v record it is
+    /// keyed by; the replacement order lists exactly the live p2v records;
+    /// each thread's signal list holds exactly its live signal records.
+    /// Returns a description of the first inconsistency.
+    pub fn check_structure(&self) -> Result<(), String> {
+        let (mut live, mut p2v, mut signals) = (0usize, 0usize, 0usize);
+        self.visit_records(|_, r| {
+            live += 1;
+            p2v += usize::from(r.context < CTX_FREE);
+            signals += usize::from(r.context == CTX_SIGNAL);
+        });
+        let counters = (self.count, self.p2v_count);
+        if (live, p2v) != counters || p2v > self.buckets.len() {
+            let n = self.buckets.len();
             return Err(format!(
-                "sig_index covers {indexed} records, arena holds {live_signals} signal records"
+                "{n} buckets, (records, p2v) counted {:?}, kept {counters:?}",
+                (live, p2v)
+            ));
+        }
+        let (mut hashed, mut hung) = (0usize, 0usize);
+        for (b, &head) in self.buckets.iter().enumerate() {
+            let mut frames = Vec::new();
+            let mut cur = head;
+            while cur != 0 {
+                let r = self.p2v(cur).filter(|r| self.bucket_of(r.key) == b);
+                let Some(r) = r.filter(|_| hashed < p2v) else {
+                    return Err(format!("bucket {b} chains foreign record {cur}"));
+                };
+                hashed += 1;
+                frames.push(r.key);
+                for (a, ctx) in self.side[ix(cur)]
+                    .attached
+                    .into_iter()
+                    .zip([CTX_COW, CTX_SIGNAL])
+                {
+                    if a == 0 {
+                        continue;
+                    }
+                    let ar = &self.records[ix(a)];
+                    if (ar.key, ar.context) != (cur, ctx) {
+                        return Err(format!("p2v {cur} carries foreign attachment {a}"));
+                    }
+                    hung += 1;
+                }
+                cur = r.next;
+            }
+            frames.sort_unstable();
+            frames.dedup();
+            if frames.len() > MAX_CHAIN_FRAMES {
+                return Err(format!("bucket {b} chains {} frames", frames.len()));
+            }
+        }
+        let ordered = self.check_list("replacement order", self.order, |r| r.context < CTX_FREE)?;
+        let mut listed = 0;
+        for (slot, &ends) in self.sig_lists.iter().enumerate() {
+            listed += self.check_list("signal list", ends, |r| {
+                r.context == CTX_SIGNAL && r.dependent as usize == slot
+            })?;
+        }
+        let (found, want) = (
+            (hashed, ordered, hung, listed),
+            (p2v, p2v, live - p2v, signals),
+        );
+        if found != want {
+            return Err(format!(
+                "(hashed, ordered, attached, signal-listed) {found:?} of {want:?}"
             ));
         }
         Ok(())
     }
 }
 
+// Single-owner, but still movable to its shard's thread.
+const _: fn() = || {
+    fn is_send<T: Send>() {}
+    is_send::<PhysMap>();
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PhysMap {
+        fn find_p2v(&self, paddr: Paddr) -> Vec<P2v> {
+            let mut out = Vec::new();
+            self.visit_p2v(paddr, |m| out.push(m));
+            out
+        }
+
+        fn signals_for(&self, paddr: Paddr) -> Vec<(u32, u32, Vaddr)> {
+            let mut out = Vec::new();
+            self.visit_signals(paddr, |t, asid, v| out.push((t, asid, v)));
+            out
+        }
+    }
 
     #[test]
     fn record_is_16_bytes() {
@@ -532,7 +614,7 @@ mod tests {
 
     #[test]
     fn p2v_roundtrip() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         let h = m.insert_p2v(Paddr(0x5123), Vaddr(0x9abc), 3).unwrap();
         // Addresses are recorded at page granularity.
         let found = m.find_p2v(Paddr(0x5fff));
@@ -546,15 +628,15 @@ mod tests {
         );
         assert_eq!(m.find_p2v_exact(Paddr(0x5000), 3, Vaddr(0x9010)), Some(h));
         assert_eq!(m.find_p2v_exact(Paddr(0x5000), 4, Vaddr(0x9010)), None);
-        let (p, v, asid) = m.remove_p2v(h).unwrap();
-        assert_eq!((p, v, asid), (Paddr(0x5000), Vaddr(0x9000), 3));
+        let gone = m.remove_p2v_exact(Paddr(0x5000), 3, Vaddr(0x9abc));
+        assert_eq!(gone, Some(Detached::default()));
         assert!(m.find_p2v(Paddr(0x5000)).is_empty());
         assert!(m.is_empty());
     }
 
     #[test]
     fn multiple_mappings_per_frame() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         m.insert_p2v(Paddr(0x1000), Vaddr(0xa000), 1).unwrap();
         m.insert_p2v(Paddr(0x1000), Vaddr(0xb000), 2).unwrap();
         m.insert_p2v(Paddr(0x2000), Vaddr(0xc000), 1).unwrap();
@@ -564,7 +646,7 @@ mod tests {
 
     #[test]
     fn signal_two_stage_lookup() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         let h1 = m.insert_p2v(Paddr(0x1000), Vaddr(0xa000), 1).unwrap();
         let h2 = m.insert_p2v(Paddr(0x1000), Vaddr(0xb000), 2).unwrap();
         m.attach_signal(h1, 11).unwrap();
@@ -578,18 +660,25 @@ mod tests {
 
     #[test]
     fn remove_p2v_cascades_attached() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         let h = m.insert_p2v(Paddr(0x1000), Vaddr(0xa000), 1).unwrap();
         m.attach_signal(h, 5).unwrap();
         m.attach_cow(h, Paddr(0x7000)).unwrap();
         assert_eq!(m.len(), 3);
-        m.remove_p2v(h).unwrap();
+        let gone = m.remove_p2v_exact(Paddr(0x1000), 1, Vaddr(0xa000));
+        let want = Detached {
+            signal: Some(5),
+            cow: Some(Paddr(0x7000)),
+        };
+        assert_eq!(gone, Some(want));
         assert_eq!(m.len(), 0);
+        assert!(m.signal_mappings_of_thread(5).is_empty());
+        m.check_structure().unwrap();
     }
 
     #[test]
     fn cow_source_recorded() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         let h = m.insert_p2v(Paddr(0x3000), Vaddr(0xd000), 7).unwrap();
         assert_eq!(m.cow_source_of(h), None);
         m.attach_cow(h, Paddr(0x8123)).unwrap();
@@ -598,23 +687,26 @@ mod tests {
 
     #[test]
     fn remove_signals_of_thread() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         let h1 = m.insert_p2v(Paddr(0x1000), Vaddr(0xa000), 1).unwrap();
         let h2 = m.insert_p2v(Paddr(0x2000), Vaddr(0xb000), 1).unwrap();
+        let h3 = m.insert_p2v(Paddr(0x2000), Vaddr(0xc000), 2).unwrap();
         m.attach_signal(h1, 9).unwrap();
         m.attach_signal(h2, 9).unwrap();
-        m.attach_signal(h2, 10).unwrap();
-        assert!(m.thread_has_signals(9));
+        m.attach_signal(h3, 10).unwrap();
+        assert_eq!(m.attach_signal(h2, 10), None, "one signal thread a mapping");
+        assert_eq!(m.signal_mappings_of_thread(9).len(), 2);
         let mut affected = m.remove_signals_of_thread(9);
         affected.sort();
         assert_eq!(affected, vec![h1, h2]);
-        assert!(!m.thread_has_signals(9));
-        assert_eq!(m.signal_of(h2), Some(10));
+        assert!(m.signal_mappings_of_thread(9).is_empty());
+        assert_eq!((m.signal_of(h2), m.signal_of(h3)), (None, Some(10)));
+        m.check_structure().unwrap();
     }
 
     #[test]
     fn capacity_enforced() {
-        let m = PhysMap::new(2);
+        let mut m = PhysMap::new(2);
         m.insert_p2v(Paddr(0x1000), Vaddr(0x1000), 1).unwrap();
         m.insert_p2v(Paddr(0x2000), Vaddr(0x2000), 1).unwrap();
         assert!(m.insert_p2v(Paddr(0x3000), Vaddr(0x3000), 1).is_none());
@@ -623,22 +715,23 @@ mod tests {
 
     #[test]
     fn version_bumps_on_mutation_only() {
-        let m = PhysMap::new(8);
+        let mut m = PhysMap::new(8);
         let v0 = m.version();
         let h = m.insert_p2v(Paddr(0x1000), Vaddr(0x1000), 1).unwrap();
         let v1 = m.version();
         assert!(v1 > v0);
         m.find_p2v(Paddr(0x1000));
+        m.requeue(h);
         assert_eq!(m.version(), v1);
-        m.remove_p2v(h).unwrap();
+        m.remove_p2v_exact(Paddr(0x1000), 1, Vaddr(0x1000)).unwrap();
         assert!(m.version() > v1);
     }
 
     #[test]
     fn handle_reuse_after_free() {
-        let m = PhysMap::new(4);
+        let mut m = PhysMap::new(4);
         let h = m.insert_p2v(Paddr(0x1000), Vaddr(0x1000), 1).unwrap();
-        m.remove_p2v(h).unwrap();
+        m.remove_p2v_exact(Paddr(0x1000), 1, Vaddr(0x1000)).unwrap();
         let h2 = m.insert_p2v(Paddr(0x2000), Vaddr(0x2000), 1).unwrap();
         assert_eq!(h, h2, "arena slot reused");
         // The old p2v is gone; removing the stale handle must not affect
@@ -646,37 +739,29 @@ mod tests {
         assert_eq!(m.find_p2v(Paddr(0x1000)), vec![]);
     }
 
+    /// Page-aligned keys must spread: the old low-bit mask put every p2v
+    /// record of a ≤ 16 384-entry map in one bucket.
     #[test]
-    fn concurrent_hammer() {
-        use std::sync::Arc;
-        let m = Arc::new(PhysMap::new(10_000));
-        let mut handles = Vec::new();
-        for t in 0..4u32 {
-            let m = Arc::clone(&m);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..500u32 {
-                    let pa = Paddr(((t * 500 + i) % 128) << 12);
-                    if let Some(h) = m.insert_p2v(pa, Vaddr(i << 12), t) {
-                        m.attach_signal(h, t);
-                        let _ = m.signals_for(pa);
-                        if i % 3 == 0 {
-                            m.remove_p2v(h);
-                        }
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // All surviving records are internally consistent: every signal
-        // record's key resolves to a live p2v record.
-        let survivors = m.len();
-        assert!(survivors > 0);
-        for pa in 0..128u32 {
-            for (t, asid, _v) in m.signals_for(Paddr(pa << 12)) {
-                assert_eq!(t, asid); // by construction above
+    fn page_aligned_keys_spread_over_buckets() {
+        for capacity in [16usize, 512, 65_536] {
+            let mut m = PhysMap::new(capacity);
+            for i in 0..capacity as u32 {
+                m.insert_p2v(Paddr((1_024 + i) << 12), Vaddr(i << 12), 1)
+                    .unwrap();
             }
+            m.check_structure().unwrap();
+            let longest = (0..capacity as u32).map(|i| m.chain((1_024 + i) << 12).count());
+            let longest = longest.max();
+            let occupied = m.buckets.iter().filter(|&&h| h != 0).count();
+            assert!(
+                longest <= Some(8),
+                "capacity {capacity}: chain of {longest:?}"
+            );
+            assert!(
+                occupied * 10 >= m.buckets.len() * 6,
+                "capacity {capacity}: {occupied} of {} buckets occupied",
+                m.buckets.len()
+            );
         }
     }
 }

@@ -22,6 +22,7 @@ use crate::ck::{CacheKernel, CkStats, MappingState, Writeback, STAT_MAPPING};
 use crate::error::{CkError, CkResult};
 use crate::ids::{ObjId, ObjKind};
 use crate::objects::{KernelDesc, ThreadDesc, ThreadState};
+use crate::physmap::RecHandle;
 use crate::shootdown::ShootdownBatch;
 use hw::{Mpm, Pte, Vpn};
 
@@ -97,17 +98,12 @@ impl CacheKernel {
             }
         }
 
-        // Remove the dependency records; note whether a signal was
-        // registered before they go.
+        // Remove the dependency records in one chain walk; note whether a
+        // signal was registered on them.
         let had_signal = self
             .physmap
-            .find_p2v_exact(paddr, asid as u32, vaddr)
-            .map(|h| {
-                let sig = self.physmap.signal_of(h).is_some();
-                self.physmap.remove_p2v(h);
-                sig
-            })
-            .unwrap_or(false);
+            .remove_p2v_exact(paddr, asid as u32, vaddr)
+            .is_some_and(|gone| gone.signal.is_some());
 
         let state = MappingState {
             vaddr,
@@ -177,30 +173,31 @@ impl CacheKernel {
     pub(crate) fn reclaim_one_mapping(&mut self, for_kernel: ObjId, mpm: &mut Mpm) -> CkResult<()> {
         let now = self.stats.loads[STAT_MAPPING];
         let mut protected = false;
-        let budget = self.mapping_fifo.len();
-        for _ in 0..=budget {
-            let (slot, gen, vpn) = match self.mapping_fifo.pop_front() {
-                Some(e) => e,
-                None => break,
+        // Oldest first; a mapping passed over moves to the young end, so
+        // one extra step revisits the first one with its second chance
+        // spent. The order holds exactly the loaded mappings.
+        for _ in 0..=self.physmap.p2v_len() {
+            let Some(m) = self.physmap.oldest() else {
+                break;
             };
-            // Entry may be stale: space reloaded or mapping replaced.
-            let space = ObjId::new(ObjKind::AddrSpace, slot, gen);
+            // Invariant 3: the record's space is loaded and maps the page.
+            let Some(space) = self.spaces.id_of_slot(m.asid as u16) else {
+                break;
+            };
+            let vpn = m.vaddr.vpn();
             let (owner, pte) = match self.spaces.get(space) {
                 Some(s) => (s.owner, s.pt.lookup(vpn)),
-                None => continue,
+                None => break,
             };
-            if !pte.is_valid() {
-                continue;
-            }
-            if self.mapping_pinned(space, vpn, pte) {
-                self.mapping_fifo.push_back((slot, gen, vpn));
+            if self.mapping_pinned(space, m.handle, pte) {
+                self.physmap.requeue(m.handle);
                 continue;
             }
             if owner != for_kernel {
                 let reserved = u32::from(self.overload.reserved(owner.slot).mappings);
                 if reserved != 0 && self.overload.resident(owner.slot, STAT_MAPPING) <= reserved {
                     protected = true;
-                    self.mapping_fifo.push_back((slot, gen, vpn));
+                    self.physmap.requeue(m.handle);
                     continue;
                 }
             }
@@ -209,7 +206,7 @@ impl CacheKernel {
                 if let Some(s) = self.spaces.get_mut(space) {
                     s.pt.update(vpn, |p| p.without(Pte::REFERENCED));
                 }
-                self.mapping_fifo.push_back((slot, gen, vpn));
+                self.physmap.requeue(m.handle);
                 continue;
             }
             if self.do_unload_mapping(space, vpn, mpm, true).is_some() {
@@ -231,37 +228,18 @@ impl CacheKernel {
     /// its address space, owning kernel and signal thread (if any) are all
     /// locked (§4.2: "a locked mapping can be reclaimed unless its address
     /// space, its kernel object and its signal thread … are locked").
-    fn mapping_pinned(&self, space: ObjId, vpn: Vpn, pte: Pte) -> bool {
-        if !pte.has(Pte::LOCKED) {
+    fn mapping_pinned(&self, space: ObjId, p2v: RecHandle, pte: Pte) -> bool {
+        let Some(s) = self.spaces.get(space) else {
             return false;
-        }
-        let s = match self.spaces.get(space) {
-            Some(s) => s,
-            None => return false,
         };
-        if !s.locked {
-            return false;
-        }
-        let k = match self.kernels.get(s.owner) {
-            Some(k) => k,
-            None => return false,
-        };
-        if !k.locked {
-            return false;
-        }
-        let asid = CacheKernel::asid_of(space) as u32;
-        if let Some(h) = self
-            .physmap
-            .find_p2v_exact(pte.pfn().base(), asid, vpn.base())
-        {
-            if let Some(tslot) = self.physmap.signal_of(h) {
-                match self.threads.get_slot(tslot as u16) {
-                    Some(t) if t.locked => {}
-                    _ => return false,
-                }
-            }
-        }
-        true
+        pte.has(Pte::LOCKED)
+            && s.locked
+            && self.kernels.get(s.owner).is_some_and(|k| k.locked)
+            && self.physmap.signal_of(p2v).is_none_or(|tslot| {
+                self.threads
+                    .get_slot(tslot as u16)
+                    .is_some_and(|t| t.locked)
+            })
     }
 
     // ------------------------------------------------------------------
@@ -304,10 +282,9 @@ impl CacheKernel {
             core::mem::size_of::<ThreadDesc>(),
         ));
         // Signal mappings depending on this thread go first (Fig. 6).
-        for (paddr, vaddr, asid) in self.physmap.signal_mappings_of_thread(id.slot as u32) {
-            let _ = paddr;
-            if let Some(sp) = self.spaces.id_of_slot(asid as u16) {
-                self.unload_mapping_impl(sp, vaddr.vpn(), mpm, true, Some(batch));
+        for m in self.physmap.signal_mappings_of_thread(id.slot as u32) {
+            if let Some(sp) = self.spaces.id_of_slot(m.asid as u16) {
+                self.unload_mapping_impl(sp, m.vaddr.vpn(), mpm, true, Some(batch));
             }
         }
         // Defensive: drop any orphan signal records.

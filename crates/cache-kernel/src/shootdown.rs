@@ -413,6 +413,9 @@ mod tests {
         let before = ck.stats.shootdown_rounds;
         ck.unload_thread(srm, t, &mut mpm).unwrap();
         assert_eq!(ck.stats.shootdown_rounds - before, 1);
-        assert!(!ck.physmap.thread_has_signals(t.slot as u32));
+        assert!(ck
+            .physmap
+            .signal_mappings_of_thread(t.slot as u32)
+            .is_empty());
     }
 }

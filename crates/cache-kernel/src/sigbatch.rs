@@ -120,24 +120,16 @@ impl CacheKernel {
         mpm.clock.charge(cost);
         mpm.cpus[cpu].consume(cost);
 
-        // Resolve each page's receiver list once, under the §4.2
-        // optimistic version check, into one flat segment buffer.
+        // Resolve each page's receiver list once into one flat segment
+        // buffer (the single-owner map cannot change under the walk).
         batch.receivers.clear();
         batch.segs.clear();
         for &pfn in &batch.pages {
             let start = batch.receivers.len();
-            loop {
-                batch.receivers.truncate(start);
-                let version = self.physmap.version();
-                self.physmap
-                    .visit_signals(pfn.base(), |thread, _asid, vaddr| {
-                        batch.receivers.push((thread, vaddr));
-                    });
-                if self.physmap.version() == version {
-                    break;
-                }
-                // Map changed concurrently: retry this page's lookup.
-            }
+            self.physmap
+                .visit_signals(pfn.base(), |thread, _asid, vaddr| {
+                    batch.receivers.push((thread, vaddr));
+                });
             let len = batch.receivers.len() - start;
             batch.segs.push((start as u32, len as u32));
             // A sole receiver keeps the reverse-TLB entry useful, exactly

@@ -91,6 +91,14 @@ echo "== messaging bench smoke (criterion baselines) =="
 cargo bench -q -p bench --bench signal_latency -- --save-baseline msg-gate > /dev/null
 cargo bench -q -p bench --bench ipc_channel -- --save-baseline msg-gate > /dev/null
 
+echo "== ckbench gate (benchmark unit tests, BENCHMARK.json contract, ck_thrash smoke) =="
+ckbench() {
+  cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- "$@"
+}
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+diff -u BENCHMARK.json <(ckbench --contract)
+ckbench --workload ck_thrash --seed 7 --reps 3 | tail -n 1 | grep -q '"correct": true'
+
 if [[ "${TSAN:-0}" == "1" ]]; then
   # Opt-in ThreadSanitizer pass over the cross-thread paths (the SPSC
   # rings and the free-running shard workers). Needs a nightly

@@ -120,6 +120,19 @@ impl CacheKernel {
         }
     }
 
+    /// The account of the kernel in `slot`, opened on first use.
+    pub(crate) fn account_mut(&mut self, slot: u16) -> &mut KernelAccount {
+        let slot = slot as usize;
+        if self.accounts.len() <= slot {
+            self.accounts.resize_with(slot + 1, || None);
+        }
+        self.accounts[slot].get_or_insert_with(KernelAccount::default)
+    }
+
+    fn account(&self, kernel: ObjId) -> Option<&KernelAccount> {
+        self.accounts.get(kernel.slot as usize)?.as_ref()
+    }
+
     /// Enqueue a thread at its effective priority (executive helper).
     pub fn enqueue_thread(&mut self, slot: u16) {
         if self.sched.contains(slot) {
@@ -139,9 +152,7 @@ impl CacheKernel {
             None => return,
         };
         let charged = graduated_charge(cycles, priority);
-        self.accounts
-            .entry(owner_slot)
-            .or_default()
+        self.account_mut(owner_slot)
             .charge(cpu.min(MAX_CPUS - 1), charged);
     }
 
@@ -150,9 +161,8 @@ impl CacheKernel {
     /// whose demotion state changed.
     pub fn end_accounting_period(&mut self, period_cycles: u64) -> Vec<(ObjId, bool)> {
         let mut changed = Vec::new();
-        let slots: Vec<u16> = self.accounts.keys().copied().collect();
-        for slot in slots {
-            let id = match self.kernels.id_of_slot(slot) {
+        for slot in 0..self.accounts.len() {
+            let id = match self.kernels.id_of_slot(slot as u16) {
                 Some(id) => id,
                 None => continue,
             };
@@ -162,7 +172,7 @@ impl CacheKernel {
             let Some(quota) = self.kernels.get(id).map(|k| k.desc.cpu_quota_pct) else {
                 continue;
             };
-            let Some(account) = self.accounts.get_mut(&slot) else {
+            let Some(account) = self.accounts[slot].as_mut() else {
                 continue;
             };
             let transitions = account.end_period(period_cycles, &quota);
@@ -201,10 +211,8 @@ impl CacheKernel {
 
     /// Decayed CPU usage of a kernel on `cpu` as a percentage (reports).
     pub fn kernel_usage_pct(&self, kernel: ObjId, cpu: usize, period_cycles: u64) -> f64 {
-        self.accounts
-            .get(&kernel.slot)
-            .map(|a| a.usage_pct(cpu, period_cycles))
-            .unwrap_or(0.0)
+        self.account(kernel)
+            .map_or(0.0, |a| a.usage_pct(cpu, period_cycles))
     }
 
     /// Whether a kernel is currently demoted.
@@ -215,10 +223,7 @@ impl CacheKernel {
     /// Loads shed by overload protection charged to `kernel` (the
     /// per-kernel slice of the global `loads_shed` counter).
     pub fn kernel_loads_shed(&self, kernel: ObjId) -> u64 {
-        self.accounts
-            .get(&kernel.slot)
-            .map(|a| a.loads_shed)
-            .unwrap_or(0)
+        self.account(kernel).map_or(0, |a| a.loads_shed)
     }
 }
 

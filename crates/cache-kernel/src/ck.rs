@@ -138,7 +138,9 @@ pub struct CacheKernel {
     pub physmap: PhysMap,
     /// Ready queues.
     pub sched: Scheduler,
-    pub(crate) accounts: BTreeMap<u16, KernelAccount>,
+    /// Processor-time accounts, indexed by kernel slot (`None` = no
+    /// account): charged on every program step, so a load, not a search.
+    pub(crate) accounts: Vec<Option<KernelAccount>>,
     /// The ordered event pipeline drained by the executive.
     pub(crate) events: VecDeque<KernelEvent>,
     pub(crate) first_kernel: Option<ObjId>,
@@ -208,7 +210,7 @@ impl CacheKernel {
             threads: ObjCache::new(ObjKind::Thread, config.thread_slots),
             physmap: PhysMap::new(config.mapping_capacity),
             sched: Scheduler::new(config.slice),
-            accounts: BTreeMap::new(),
+            accounts: Vec::new(),
             events: VecDeque::with_capacity(64),
             first_kernel: None,
             resume_armed: false,
@@ -253,7 +255,7 @@ impl CacheKernel {
             .expect("empty kernel cache at boot");
         self.kernels.get_mut(id).unwrap().owner = id;
         self.first_kernel = Some(id);
-        self.accounts.insert(id.slot, KernelAccount::default());
+        *self.account_mut(id.slot) = KernelAccount::default();
         self.stats.loads[CkStats::idx(ObjKind::Kernel)] += 1;
         self.note_loaded(id, CkStats::idx(ObjKind::Kernel));
         id
@@ -358,7 +360,7 @@ impl CacheKernel {
                 locked_mappings: 0,
             })
             .ok_or(CkError::CacheFull)?;
-        self.accounts.insert(id.slot, KernelAccount::default());
+        *self.account_mut(id.slot) = KernelAccount::default();
         self.stats.loads[CkStats::idx(ObjKind::Kernel)] += 1;
         self.note_loaded(caller, CkStats::idx(ObjKind::Kernel));
         Ok(id)
@@ -626,7 +628,7 @@ impl CacheKernel {
         self.charge_op(mpm, 0);
         let desc = self.do_unload_thread(id, mpm)?;
         self.stats.unloads[CkStats::idx(ObjKind::Thread)] += 1;
-        Ok(desc)
+        Ok(Box::new(desc))
     }
 
     /// The priority-modification optimization call (§2.3): adjust a loaded

@@ -217,6 +217,11 @@ pub enum ClusterEvent {
     },
 }
 
+// Every event is moved through the queue by value: it stays within one
+// cache line (48 B today — the widest payloads are a boxed writeback and
+// a packet's `Vec`), so a new variant carries its bulk out of line.
+const _: () = assert!(core::mem::size_of::<KernelEvent>() <= 64);
+
 impl KernelEvent {
     /// A stable, compact description for event traces. Deterministic for
     /// identical runs (no addresses, no wall-clock, payloads by length).

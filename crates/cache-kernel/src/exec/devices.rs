@@ -37,11 +37,17 @@ impl Executive {
     /// end of a quantum; the rest wait for the cluster loop.
     pub(crate) fn loopback_outbox(&mut self) {
         let node = self.mpm.node();
-        let (local, remote): (Vec<Packet>, Vec<Packet>) =
-            self.outbox.drain(..).partition(|p| p.dst == node);
-        self.outbox = remote;
-        for pkt in local {
-            self.deliver_packet(pkt);
+        // One at a time, in order: a delivery may queue further packets,
+        // which wait at the tail for the next quantum like the remote
+        // ones already there.
+        let mut at = 0;
+        for _ in 0..self.outbox.len() {
+            if self.outbox[at].dst == node {
+                let pkt = self.outbox.remove(at);
+                self.deliver_packet(pkt);
+            } else {
+                at += 1;
+            }
         }
     }
 

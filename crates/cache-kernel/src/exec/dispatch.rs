@@ -103,7 +103,12 @@ impl Executive {
                 return Outcome::Stopped;
             }
         };
-        let Some((mut prog, mut ctx)) = self.code.take(pc) else {
+        // The program is stepped where it lies in the store: the step
+        // needs only the program and its context, and the borrow ends
+        // before the step is processed, so application-kernel handlers
+        // find both in the store (fork duplicates them, blocked traps
+        // park them).
+        let Some((prog, ctx)) = self.code.entry(pc) else {
             // No program behind the pc: treat as an exited thread.
             self.terminate_thread(cpu, slot, -1);
             return Outcome::Stopped;
@@ -122,7 +127,6 @@ impl Executive {
                     // Spurious wakeup: block again.
                     self.ck.wait_signal(slot);
                     self.mpm.cpus[cpu].current = None;
-                    self.code.put(pc, prog, ctx);
                     return Outcome::Stopped;
                 }
             }
@@ -132,11 +136,7 @@ impl Executive {
         self.mpm.clock.charge(1);
         self.mpm.cpus[cpu].consume(1);
 
-        let step = prog.step(&mut ctx);
-        // The program and its context go back into the store *before* the
-        // step is processed, so application-kernel handlers see it there
-        // (fork duplicates it, blocked traps park it).
-        self.code.put(pc, prog, ctx);
+        let step = prog.step(ctx);
 
         let outcome = match step {
             Step::Compute(n) => {

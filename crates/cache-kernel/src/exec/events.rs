@@ -114,9 +114,11 @@ impl Executive {
                     // a crashed (unregistered) kernel stops being stamped
                     // and its last-seen cycle goes stale.
                     let now = self.mpm.clock.cycles();
-                    for ks in self.kernels.slots() {
-                        self.ck.note_heartbeat(ks, now);
-                        self.call_kernel(ks, 0, |k, env| k.on_tick(env));
+                    for ks in 0..self.kernels.slot_end() {
+                        if self.kernels.contains(ks) {
+                            self.ck.note_heartbeat(ks, now);
+                            self.call_kernel(ks, 0, |k, env| k.on_tick(env));
+                        }
                     }
                 }
             }
@@ -172,7 +174,7 @@ impl Executive {
                 // kernel in deterministic slot order, mirroring the clock
                 // tick: a DSM kernel re-homes a dead owner's lines, the
                 // SRM freezes or thaws its placement.
-                for ks in self.kernels.slots() {
+                for ks in 0..self.kernels.slot_end() {
                     self.call_kernel(ks, 0, |k, env| k.on_cluster_event(env, cev));
                 }
             }

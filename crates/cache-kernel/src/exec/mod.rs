@@ -181,7 +181,7 @@ impl Executive {
         cpu: usize,
         f: impl FnOnce(&mut dyn AppKernel, &mut Env) -> R,
     ) -> Option<R> {
-        let mut k = self.kernels.take(kslot)?;
+        let mut k = self.kernels.remove(kslot)?;
         let node = self.mpm.node();
         let r = {
             let mut env = Env {
@@ -194,7 +194,7 @@ impl Executive {
             };
             f(k.as_mut(), &mut env)
         };
-        self.kernels.put(kslot, k);
+        self.kernels.insert(kslot, k);
         Some(r)
     }
 

@@ -38,7 +38,7 @@
 use super::Executive;
 use crate::ck::{CacheKernel, CkConfig};
 use crate::counters::Counters;
-use crate::shardmsg::{ShardDst, ShardMsg};
+use crate::shardmsg::{ShardDst, ShardExport, ShardMsg};
 use hw::{
     mpsc, spsc, Fabric, FaultPlan, FrameFate, MachineConfig, Mpm, MpscRx, MpscTx, Paddr, RingRx,
     RingTx,
@@ -117,6 +117,9 @@ pub(crate) struct ShardPort {
     sig_egress: Vec<VecDeque<Paddr>>,
     /// Reusable drain buffer for one sweep of the fan-out ring.
     sig_sweep: Vec<Paddr>,
+    /// The buffer `collect_exports` swaps with the Cache Kernel's export
+    /// queue, so both keep their capacity from quantum to quantum.
+    exports: Vec<ShardExport>,
 }
 
 impl ShardPort {
@@ -147,6 +150,7 @@ impl RingMesh {
                 sig_rx: None,
                 sig_egress: (0..shards).map(|_| VecDeque::new()).collect(),
                 sig_sweep: Vec::new(),
+                exports: Vec::new(),
             })
             .collect();
         for src in 0..shards {
@@ -843,7 +847,11 @@ fn collect_exports(
     if steal && !node.mpm.halted {
         node.maybe_request_steal(shards);
     }
-    for export in std::mem::take(&mut node.ck.shard_exports) {
+    // Exports queued while these are processed (a steal grant, say) land
+    // in the swapped-in buffer and go out with the next collection.
+    debug_assert!(port.exports.is_empty());
+    std::mem::swap(&mut node.ck.shard_exports, &mut port.exports);
+    for export in port.exports.drain(..) {
         match export.dst {
             ShardDst::Node(dst) => {
                 if dst == me || dst >= shards {
@@ -887,18 +895,15 @@ fn collect_exports(
             },
         }
     }
-    let mut kept = Vec::new();
-    for pkt in node.outbox.drain(..) {
-        if pkt.dst == me {
-            kept.push(pkt);
-        } else if pkt.dst < shards {
+    // Packets for this shard stay (in order) for the loopback; those
+    // addressed outside the machine are dropped, as the classic fabric
+    // would refuse them.
+    for pkt in node.outbox.extract_if(.., |pkt| pkt.dst != me) {
+        if pkt.dst < shards {
             in_flight.fetch_add(1, Ordering::SeqCst);
             port.egress[pkt.dst].push_back(ShardMsg::Packet(pkt));
         }
-        // Packets addressed outside the machine are dropped, as the
-        // classic fabric would refuse them.
     }
-    node.outbox = kept;
 }
 
 /// Try to push every queued egress message onto its ring. A full ring

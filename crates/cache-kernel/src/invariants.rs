@@ -51,6 +51,8 @@ impl CacheKernel {
         let mut pt_pairs: HashSet<(u32, u32, u32)> = HashSet::new(); // (asid, vpage, ppage)
         for (sid, s) in self.spaces.iter() {
             let asid = CacheKernel::asid_of(sid) as u32;
+            s.pt.check_counts()
+                .map_err(|e| format!("space {sid:?} page table: {e}"))?;
             for (vpn, pte) in s.pt.iter() {
                 pt_pairs.insert((asid, vpn.base().0, pte.pfn().base().0));
             }
@@ -139,13 +141,11 @@ impl CacheKernel {
             }
         }
 
-        // 6. Scheduler holds only loaded Ready threads, no duplicates.
-        let mut seen = HashSet::new();
+        // 6. Scheduler holds only loaded Ready threads, no duplicates,
+        //    and its queued bits agree with the queues.
+        self.sched.check_queued_bits()?;
         for slot in 0..self.threads.capacity() as u16 {
             if self.sched.contains(slot) {
-                if !seen.insert(slot) {
-                    return Err(format!("slot {slot} queued twice"));
-                }
                 match self.threads.get_slot(slot) {
                     Some(t) => {
                         if !matches!(t.desc.state, ThreadState::Ready) {

@@ -214,7 +214,7 @@ impl crate::ck::CacheKernel {
     /// kernel's account — and build the retryable error to return.
     pub(crate) fn shed_load(&mut self, caller: ObjId, backoff: u32) -> CkError {
         self.stats.loads_shed += 1;
-        self.accounts.entry(caller.slot).or_default().loads_shed += 1;
+        self.account_mut(caller.slot).loads_shed += 1;
         CkError::Again { backoff }
     }
 

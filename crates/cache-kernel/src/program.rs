@@ -13,7 +13,7 @@
 
 use crate::ids::ObjId;
 use hw::Vaddr;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Program identifier (carried in a thread's `regs.pc`).
 pub type ProgId = u32;
@@ -94,90 +94,118 @@ pub trait Program: Send {
     }
 }
 
+/// A stored program with its persistent context.
+type Entry = (Box<dyn Program>, ThreadCtx);
+
 /// Owns the program objects and their contexts, keyed by [`ProgId`].
+///
+/// Ids are issued in registration order, so the id → program lookup the
+/// executive does on every step is two indexed loads and no hash:
+/// `index` is a window over the ids from the oldest live one to the
+/// newest, holding each program's place in `slab`. Memory follows the
+/// live programs — removing the oldest ids slides the window forward
+/// (250 000 sequential jobs leave it a few entries long), freed slab
+/// places are reused, and an old survivor pins 4 bytes per younger id.
 #[derive(Default)]
 pub struct CodeStore {
-    progs: HashMap<ProgId, (Box<dyn Program>, ThreadCtx)>,
-    next: ProgId,
+    slab: Vec<Option<Entry>>,
+    /// Vacant places in `slab`.
+    free: Vec<u32>,
+    /// `index[id - retired - 1]` is the slab place of program `id` plus
+    /// one, or zero once it is removed; the front is never zero.
+    index: VecDeque<u32>,
+    /// Ids the window has slid past: `index[0]` is id `retired + 1`.
+    retired: ProgId,
 }
 
 impl CodeStore {
     /// An empty store.
     pub fn new() -> Self {
-        CodeStore {
-            progs: HashMap::new(),
-            next: 1,
-        }
+        Self::default()
+    }
+
+    /// Offset of `id` in the window (out of range for ids slid past).
+    fn offset(&self, id: ProgId) -> usize {
+        id.wrapping_sub(self.retired).wrapping_sub(1) as usize
+    }
+
+    fn place(&self, id: ProgId) -> Option<usize> {
+        (*self.index.get(self.offset(id))? as usize).checked_sub(1)
+    }
+
+    fn insert(&mut self, entry: Entry) -> ProgId {
+        let at = match self.free.pop() {
+            Some(at) => {
+                self.slab[at as usize] = Some(entry);
+                at
+            }
+            None => {
+                self.slab.push(Some(entry));
+                self.slab.len() as u32 - 1
+            }
+        };
+        self.index.push_back(at + 1);
+        self.retired + self.index.len() as ProgId
     }
 
     /// Install a program, returning the id to put in a thread's `pc`.
     pub fn register(&mut self, p: Box<dyn Program>) -> ProgId {
-        let id = self.next;
-        self.next += 1;
-        self.progs.insert(id, (p, ThreadCtx::default()));
-        id
+        self.insert((p, ThreadCtx::default()))
     }
 
-    /// Temporarily remove a program and its context (executive's
-    /// take-out/put-back around a step).
-    pub fn take(&mut self, id: ProgId) -> Option<(Box<dyn Program>, ThreadCtx)> {
-        self.progs.remove(&id)
-    }
-
-    /// Put a program back after a step.
-    pub fn put(&mut self, id: ProgId, p: Box<dyn Program>, ctx: ThreadCtx) {
-        self.progs.insert(id, (p, ctx));
+    /// A program and its context, to step it where it lies. The step
+    /// needs nothing else of the executive, so nothing is moved out.
+    pub fn entry(&mut self, id: ProgId) -> Option<(&mut dyn Program, &mut ThreadCtx)> {
+        let at = self.place(id)?;
+        let (p, ctx) = self.slab[at].as_mut()?;
+        Some((p.as_mut(), ctx))
     }
 
     /// Remove a program permanently (thread exited).
     pub fn remove(&mut self, id: ProgId) -> Option<Box<dyn Program>> {
-        self.progs.remove(&id).map(|(p, _)| p)
+        let off = self.offset(id);
+        let at = (core::mem::take(self.index.get_mut(off)?) as usize).checked_sub(1)?;
+        while self.index.front() == Some(&0) {
+            self.index.pop_front();
+            self.retired += 1;
+        }
+        self.free.push(at as u32);
+        self.slab[at].take().map(|(p, _)| p)
     }
 
     /// Read a program's persistent context (tests, diagnostics).
     pub fn ctx(&self, id: ProgId) -> Option<&ThreadCtx> {
-        self.progs.get(&id).map(|(_, c)| c)
+        let (_, ctx) = self.slab[self.place(id)?].as_ref()?;
+        Some(ctx)
     }
 
     /// Deliver the result of a blocked trap: the application kernel calls
     /// this before resuming a thread it blocked in `on_trap`.
     pub fn set_trap_ret(&mut self, id: ProgId, v: u32) {
-        if let Some((_, ctx)) = self.progs.get_mut(&id) {
-            ctx.trap_ret = v;
-        }
+        self.with_ctx(id, |ctx| ctx.trap_ret = v);
     }
 
     /// Mutate a program's persistent context (executive result delivery).
     pub fn with_ctx<R>(&mut self, id: ProgId, f: impl FnOnce(&mut ThreadCtx) -> R) -> Option<R> {
-        self.progs.get_mut(&id).map(|(_, ctx)| f(ctx))
+        self.entry(id).map(|(_, ctx)| f(ctx))
     }
 
     /// Ask a program to fork (for UNIX-style fork emulation). Returns the
     /// child program id if the program supports forking.
     pub fn fork(&mut self, id: ProgId) -> Option<ProgId> {
-        let child = {
-            let (p, _) = self.progs.get(&id)?;
-            p.fork()?
-        };
-        let ctx = self
-            .progs
-            .get(&id)
-            .map(|(_, c)| c.clone())
-            .unwrap_or_default();
-        let cid = self.next;
-        self.next += 1;
-        self.progs.insert(cid, (child, ctx));
-        Some(cid)
+        let (p, ctx) = self.entry(id)?;
+        let child = (p.fork()?, ctx.clone());
+        Some(self.insert(child))
     }
 
     /// Number of installed programs.
     pub fn len(&self) -> usize {
-        self.progs.len()
+        self.slab.len() - self.free.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.progs.is_empty()
+        self.len() == 0
     }
 }
 
@@ -257,12 +285,60 @@ mod tests {
         let mut cs = CodeStore::new();
         let id = cs.register(Box::new(Script::new(vec![Step::Yield])));
         assert_eq!(cs.len(), 1);
-        let (mut p, mut ctx) = cs.take(id).unwrap();
-        assert_eq!(p.step(&mut ctx), Step::Yield);
-        cs.put(id, p, ctx);
+        let (p, ctx) = cs.entry(id).unwrap();
+        assert_eq!(p.step(ctx), Step::Yield);
         assert!(cs.ctx(id).is_some());
         cs.remove(id);
         assert!(cs.is_empty());
+        assert!(cs.entry(id).is_none() && cs.remove(id).is_none());
+    }
+
+    /// Ids stay monotonic, lookups stay exact, and memory follows the
+    /// live programs: the id window slides past removed ids and the slab
+    /// reuses freed places, whatever the removal order.
+    #[test]
+    fn codestore_ids_monotonic_memory_follows_live_programs() {
+        let prog = || Box::new(Script::new(vec![])) as Box<dyn Program>;
+        let mut cs = CodeStore::new();
+        let pinned = cs.register(prog());
+        assert_eq!(pinned, 1, "first id is 1, as regs.pc and traces expect");
+        let mut live = std::collections::VecDeque::new();
+        for n in 0..10_000u32 {
+            let id = cs.register(prog());
+            assert_eq!(id, n + 2);
+            cs.with_ctx(id, |c| c.loaded = id).unwrap();
+            live.push_back(id);
+            if live.len() > 8 {
+                // Retire out of order: the second-oldest, then the oldest.
+                let victim = live.remove(n as usize % 2).unwrap();
+                assert!(cs.remove(victim).is_some());
+                assert!(cs.ctx(victim).is_none());
+            }
+            for &id in &live {
+                assert_eq!(cs.ctx(id).unwrap().loaded, id);
+            }
+        }
+        assert_eq!(cs.len(), live.len() + 1);
+        assert!(cs.slab.len() <= 10, "slab grew to {}", cs.slab.len());
+        // The pinned first program holds the window open (4 B per id)...
+        assert_eq!(cs.index.len(), 10_001);
+        // ...and releasing it slides the window down to the live span.
+        cs.remove(pinned);
+        assert!(cs.index.len() <= 10, "window {} wide", cs.index.len());
+        assert_eq!(cs.register(prog()), 10_002);
+    }
+
+    #[test]
+    fn codestore_fork_copies_context_under_a_new_id() {
+        let mut cs = CodeStore::new();
+        let parent = cs.register(Box::new(Script::new(vec![Step::Yield])));
+        cs.set_trap_ret(parent, 9);
+        let child = cs.fork(parent).unwrap();
+        assert_eq!(child, parent + 1);
+        assert_eq!(cs.ctx(child).unwrap().trap_ret, 9);
+        let unforkable = cs.register(Box::new(FnProgram(|_: &mut ThreadCtx| Step::Yield)));
+        assert_eq!(cs.fork(unforkable), None);
+        assert_eq!(cs.len(), 3);
     }
 
     #[test]

@@ -253,11 +253,7 @@ impl CacheKernel {
     /// id can never strip signal mappings off an unrelated thread that
     /// reused the slot. Eager form: the whole teardown rides one
     /// shootdown round.
-    pub(crate) fn do_unload_thread(
-        &mut self,
-        id: ObjId,
-        mpm: &mut Mpm,
-    ) -> CkResult<Box<ThreadDesc>> {
+    pub(crate) fn do_unload_thread(&mut self, id: ObjId, mpm: &mut Mpm) -> CkResult<ThreadDesc> {
         let mut batch = self.take_shootdown_batch();
         let res = self.unload_thread_batched(id, mpm, &mut batch);
         self.finish_shootdown(batch, mpm);
@@ -271,7 +267,7 @@ impl CacheKernel {
         id: ObjId,
         mpm: &mut Mpm,
         batch: &mut ShootdownBatch,
-    ) -> CkResult<Box<ThreadDesc>> {
+    ) -> CkResult<ThreadDesc> {
         if self.threads.get(id).is_none() {
             return Err(CkError::StaleId(id));
         }
@@ -307,7 +303,7 @@ impl CacheKernel {
                 k.locked_threads = k.locked_threads.saturating_sub(1);
             }
         }
-        Ok(Box::new(t.desc))
+        Ok(t.desc)
     }
 
     /// Reclamation writeback of a thread: unload and queue its state to
@@ -328,6 +324,7 @@ impl CacheKernel {
         self.stats.writebacks[class] += 1;
         self.overload
             .note_displacement(owner.slot, class, self.stats.loads[class]);
+        let desc = Box::new(desc);
         self.queue_writeback(Writeback::Thread { owner, id, desc });
         Ok(())
     }
@@ -432,7 +429,7 @@ impl CacheKernel {
             self.queue_writeback(Writeback::Thread {
                 owner: towner,
                 id: tid,
-                desc,
+                desc: Box::new(desc),
             });
         }
         // Then every mapping.
@@ -555,7 +552,9 @@ impl CacheKernel {
         if let Some(e) = err {
             return Err(e);
         }
-        self.accounts.remove(&id.slot);
+        if let Some(a) = self.accounts.get_mut(id.slot as usize) {
+            *a = None;
+        }
         let k = self.kernels.remove(id).ok_or(CkError::StaleId(id))?;
         self.overload
             .note_unload(k.owner.slot, CkStats::idx_pub(ObjKind::Kernel));

@@ -62,6 +62,9 @@ pub struct Pick {
 /// Per-CPU ready queues with fixed-order idle-steal.
 pub struct Scheduler {
     cpus: Vec<CpuQueues>,
+    /// `queued[slot]` ⇔ the slot sits in some ready queue; kept by
+    /// `enqueue`/`pick`/`remove` so membership is a load, not a search.
+    queued: Vec<bool>,
     /// Time-slice length in program steps.
     pub slice: u32,
     /// Total threads dispatched via idle-steal (monotonic, for reporting).
@@ -75,6 +78,7 @@ impl Scheduler {
         assert!(slice > 0, "time slice must be at least one step");
         Scheduler {
             cpus: vec![CpuQueues::new()],
+            queued: Vec::new(),
             slice,
             steals: 0,
         }
@@ -104,6 +108,7 @@ impl Scheduler {
             }
         }
         self.cpus = (0..n).map(|_| CpuQueues::new()).collect();
+        self.queued.fill(false);
         for (slot, priority) in queued {
             self.enqueue(slot, priority);
         }
@@ -120,6 +125,10 @@ impl Scheduler {
         debug_assert!(!self.contains(slot), "slot double-enqueued");
         let home = self.home_of(slot);
         self.cpus[home].levels[priority as usize].push_back(slot);
+        if self.queued.len() <= slot as usize {
+            self.queued.resize(slot as usize + 1, false);
+        }
+        self.queued[slot as usize] = true;
     }
 
     /// Dispatch decision for `cpu`: the highest-priority ready thread,
@@ -135,6 +144,7 @@ impl Scheduler {
         }
         for p in (0..PRIORITY_LEVELS).rev() {
             if let Some(slot) = self.cpus[cpu].levels[p].pop_front() {
+                self.queued[slot as usize] = false;
                 return Some(Pick {
                     slot,
                     priority: p as Priority,
@@ -144,6 +154,7 @@ impl Scheduler {
             for step in 1..n {
                 let victim = (cpu + step) % n;
                 if let Some(slot) = self.cpus[victim].levels[p].pop_front() {
+                    self.queued[slot as usize] = false;
                     self.steals += 1;
                     return Some(Pick {
                         slot,
@@ -165,6 +176,10 @@ impl Scheduler {
     /// Remove a specific slot from wherever it is queued (thread unloaded
     /// or blocked). Returns whether it was queued.
     pub fn remove(&mut self, slot: u16) -> bool {
+        if !self.contains(slot) {
+            return false;
+        }
+        self.queued[slot as usize] = false;
         for cq in &mut self.cpus {
             for level in &mut cq.levels {
                 if let Some(pos) = level.iter().position(|&s| s == slot) {
@@ -173,6 +188,7 @@ impl Scheduler {
                 }
             }
         }
+        debug_assert!(false, "slot {slot} flagged queued but in no ready queue");
         false
     }
 
@@ -187,9 +203,25 @@ impl Scheduler {
 
     /// Whether a slot is in some ready queue.
     pub fn contains(&self, slot: u16) -> bool {
-        self.cpus
-            .iter()
-            .any(|cq| cq.levels.iter().any(|l| l.contains(&slot)))
+        self.queued.get(slot as usize).copied().unwrap_or(false)
+    }
+
+    /// Check the queued bits against the queues themselves: every queue
+    /// entry flagged, no slot queued twice, no flag without an entry.
+    pub fn check_queued_bits(&self) -> Result<(), String> {
+        let mut seen = vec![false; self.queued.len()];
+        for &slot in self.cpus.iter().flat_map(|cq| cq.levels.iter().flatten()) {
+            if !self.contains(slot) {
+                return Err(format!("slot {slot} queued but not flagged"));
+            }
+            if core::mem::replace(&mut seen[slot as usize], true) {
+                return Err(format!("slot {slot} queued twice"));
+            }
+        }
+        match (0..seen.len()).find(|&s| self.queued[s] != seen[s]) {
+            Some(slot) => Err(format!("slot {slot} flagged queued but in no queue")),
+            None => Ok(()),
+        }
     }
 
     /// Total ready threads across all CPUs.
@@ -354,5 +386,54 @@ mod tests {
         // Slot 1 now homes on CPU 1 and is picked locally there.
         let p = s.pick(1).unwrap();
         assert_eq!((p.slot, p.stolen_from), (1, None));
+        assert!(s.contains(0) && !s.contains(1) && !s.contains(2));
+        s.check_queued_bits().unwrap();
+    }
+
+    /// The queued bit follows every path in and out of the queues —
+    /// enqueue, own-queue pick, steal, remove, requeue, re-homing — and
+    /// the checker catches a bit and a queue that disagree.
+    #[test]
+    fn queued_bits_track_membership() {
+        let mut s = Scheduler::new(10);
+        s.set_cpus(3);
+        let mut queued = std::collections::BTreeSet::new();
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for round in 0..5_000u32 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let slot = (rng >> 8) as u16 % 40;
+            match rng % 5 {
+                0 | 1 if !queued.contains(&slot) => {
+                    s.enqueue(slot, (rng >> 32) as Priority % 32);
+                    queued.insert(slot);
+                }
+                2 => {
+                    if let Some(p) = s.pick((rng >> 40) as usize % s.num_cpus()) {
+                        assert!(queued.remove(&p.slot));
+                    } else {
+                        assert!(queued.is_empty());
+                    }
+                }
+                3 => assert_eq!(s.remove(slot), queued.remove(&slot)),
+                4 if round % 97 == 0 => s.set_cpus(1 + (rng >> 50) as usize % 4),
+                _ => s.requeue(slot, (rng >> 32) as Priority % 32),
+            }
+            for slot in 0..40 {
+                assert_eq!(s.contains(slot), queued.contains(&slot), "round {round}");
+            }
+            assert_eq!(s.ready_count(), queued.len());
+            s.check_queued_bits().unwrap();
+        }
+        // A bit without an entry, and an entry without a bit.
+        if let Some(&slot) = queued.iter().next() {
+            s.queued[slot as usize] = false;
+            assert!(s.check_queued_bits().is_err());
+            s.queued[slot as usize] = true;
+        }
+        s.queued.resize(64, false);
+        s.queued[63] = true;
+        assert!(s.check_queued_bits().is_err());
     }
 }

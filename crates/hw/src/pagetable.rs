@@ -19,6 +19,8 @@ pub const L3_ENTRIES: usize = 64;
 pub const UPPER_TABLE_BYTES: usize = L1_ENTRIES * 4;
 /// Size in bytes of a third-level table.
 pub const LEAF_TABLE_BYTES: usize = L3_ENTRIES * 4;
+/// Largest virtual page number the 7/7/6 split addresses.
+const MAX_VPN: u32 = (L1_ENTRIES * L2_ENTRIES * L3_ENTRIES - 1) as u32;
 
 /// A page-table entry: a 20-bit frame number plus flag bits, packed in a
 /// `u32` exactly as a real table would hold it.
@@ -116,20 +118,35 @@ impl core::fmt::Debug for Pte {
     }
 }
 
-type Leaf = Box<[Pte; L3_ENTRIES]>;
-type Mid = Box<[Option<Leaf>; L3_PER_MID]>;
-const L3_PER_MID: usize = L2_ENTRIES;
+/// A third-level table and the number of valid entries in it.
+struct Leaf {
+    live: u32,
+    ptes: [Pte; L3_ENTRIES],
+}
+
+/// A second-level table and the number of leaves hanging off it. The
+/// live counts let `remove` reclaim an emptied table without rescanning.
+struct Mid {
+    live: u32,
+    leaves: [Option<Box<Leaf>>; L2_ENTRIES],
+}
 
 /// A three-level page table for one address space.
 ///
 /// Logically part of the Cache Kernel's address-space object; held here in
 /// the hardware crate because the walker and TLB consult it directly.
 pub struct PageTable {
-    root: Box<[Option<Mid>; L1_ENTRIES]>,
+    root: Box<[Option<Box<Mid>>; L1_ENTRIES]>,
     /// Count of valid leaf entries (loaded page mappings).
     valid: usize,
     mid_tables: usize,
     leaf_tables: usize,
+    /// The last emptied table of each level, kept for the next
+    /// allocation: a space that maps and unmaps one window per job would
+    /// otherwise free and reallocate both every time. Simulator-side
+    /// only; the byte accounting counts tables in the tree.
+    spare_mid: Option<Box<Mid>>,
+    spare_leaf: Option<Box<Leaf>>,
 }
 
 impl Default for PageTable {
@@ -148,6 +165,8 @@ impl PageTable {
             valid: 0,
             mid_tables: 0,
             leaf_tables: 0,
+            spare_mid: None,
+            spare_leaf: None,
         }
     }
 
@@ -159,33 +178,41 @@ impl PageTable {
     /// Look up the entry for `vpn` (invalid entry if absent).
     pub fn lookup(&self, vpn: Vpn) -> Pte {
         let (i, j, k) = Self::split(vpn);
-        match &self.root[i] {
-            Some(mid) => match &mid[j] {
-                Some(leaf) => leaf[k],
-                None => Pte::invalid(),
-            },
-            None => Pte::invalid(),
-        }
+        let leaf = self.root[i].as_ref().and_then(|mid| mid.leaves[j].as_ref());
+        leaf.map_or(Pte::invalid(), |leaf| leaf.ptes[k])
     }
 
     /// Install (or replace) the entry for `vpn`. Returns the previous entry.
     pub fn insert(&mut self, vpn: Vpn, pte: Pte) -> Pte {
         let (i, j, k) = Self::split(vpn);
-        let mid = self.root[i].get_or_insert_with(|| {
+        let mid: &mut Mid = self.root[i].get_or_insert_with(|| {
             self.mid_tables += 1;
-            Box::new([const { None }; L3_PER_MID])
+            self.spare_mid.take().unwrap_or_else(|| {
+                Box::new(Mid {
+                    live: 0,
+                    leaves: [const { None }; L2_ENTRIES],
+                })
+            })
         });
-        let leaf = mid[j].get_or_insert_with(|| {
+        let leaf = mid.leaves[j].get_or_insert_with(|| {
             self.leaf_tables += 1;
-            Box::new([Pte::invalid(); L3_ENTRIES])
+            mid.live += 1;
+            self.spare_leaf.take().unwrap_or_else(|| {
+                Box::new(Leaf {
+                    live: 0,
+                    ptes: [Pte::invalid(); L3_ENTRIES],
+                })
+            })
         });
-        let old = leaf[k];
+        let old = leaf.ptes[k];
         if old.is_valid() && !pte.is_valid() {
             self.valid -= 1;
+            leaf.live -= 1;
         } else if !old.is_valid() && pte.is_valid() {
             self.valid += 1;
+            leaf.live += 1;
         }
-        leaf[k] = pte;
+        leaf.ptes[k] = pte;
         old
     }
 
@@ -194,18 +221,20 @@ impl PageTable {
     pub fn remove(&mut self, vpn: Vpn) -> Option<Pte> {
         let (i, j, k) = Self::split(vpn);
         let mid = self.root[i].as_mut()?;
-        let leaf = mid[j].as_mut()?;
-        let old = leaf[k];
+        let leaf = mid.leaves[j].as_mut()?;
+        let old = leaf.ptes[k];
         if !old.is_valid() {
             return None;
         }
-        leaf[k] = Pte::invalid();
+        leaf.ptes[k] = Pte::invalid();
+        leaf.live -= 1;
         self.valid -= 1;
-        if leaf.iter().all(|e| !e.is_valid()) {
-            mid[j] = None;
+        if leaf.live == 0 {
+            self.spare_leaf = mid.leaves[j].take();
+            mid.live -= 1;
             self.leaf_tables -= 1;
-            if mid.iter().all(|l| l.is_none()) {
-                self.root[i] = None;
+            if mid.live == 0 {
+                self.spare_mid = self.root[i].take();
                 self.mid_tables -= 1;
             }
         }
@@ -215,59 +244,79 @@ impl PageTable {
     /// Update the entry in place via `f` if present and valid.
     pub fn update<F: FnOnce(Pte) -> Pte>(&mut self, vpn: Vpn, f: F) -> Option<Pte> {
         let (i, j, k) = Self::split(vpn);
-        let leaf = self.root[i].as_mut()?[j].as_mut()?;
-        if !leaf[k].is_valid() {
+        let leaf = self.root[i].as_mut()?.leaves[j].as_mut()?;
+        if !leaf.ptes[k].is_valid() {
             return None;
         }
-        let new = f(leaf[k]);
+        let new = f(leaf.ptes[k]);
         debug_assert!(new.is_valid(), "update must not invalidate; use remove");
-        leaf[k] = new;
+        leaf.ptes[k] = new;
         Some(new)
     }
 
     /// Iterate over all valid `(vpn, pte)` pairs in ascending VPN order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
-        self.root.iter().enumerate().flat_map(move |(i, mid)| {
-            mid.iter()
-                .flat_map(move |mid| {
-                    mid.iter().enumerate().flat_map(move |(j, leaf)| {
-                        leaf.iter().flat_map(move |leaf| {
-                            leaf.iter()
-                                .enumerate()
-                                .filter_map(move |(k, pte)| pte.is_valid().then_some((j, k, *pte)))
-                        })
-                    })
-                })
-                .map(move |(j, k, pte)| (Vpn(((i << 13) | (j << 6) | k) as u32), pte))
-        })
+        self.iter_range(Vpn(0), Vpn(MAX_VPN))
     }
 
     /// Iterate over the valid `(vpn, pte)` pairs in `first..=last`, in
-    /// ascending VPN order, visiting only *allocated* tables: a sparse
-    /// range costs O(populated entries), not O(pages in range).
+    /// ascending VPN order. The walk is bounded at every level — an absent
+    /// table is stepped over whole, a present leaf is read only inside
+    /// the range — so it costs O(pages in range ∩ allocated tables) plus
+    /// one probe per absent table in the range, never O(allocated slots).
+    /// Empty when `first > last`; `last` is clamped to the VPN space.
     pub fn iter_range(&self, first: Vpn, last: Vpn) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
-        let max_vpn = ((L1_ENTRIES as u32) << 13) - 1;
-        let lo = (first.0.min(max_vpn)) as usize;
-        let hi = (last.0.min(max_vpn)) as usize;
-        let (i0, i1) = ((lo >> 13) & 0x7f, (hi >> 13) & 0x7f);
-        let (i0, i1) = (i0.min(i1), i1.max(i0));
-        self.root[i0..=i1]
-            .iter()
-            .enumerate()
-            .flat_map(move |(di, mid)| {
-                let i = i0 + di;
-                mid.iter().flat_map(move |mid| {
-                    mid.iter().enumerate().flat_map(move |(j, leaf)| {
-                        leaf.iter().flat_map(move |leaf| {
-                            leaf.iter().enumerate().filter_map(move |(k, pte)| {
-                                let v = (i << 13) | (j << 6) | k;
-                                (pte.is_valid() && v >= lo && v <= hi)
-                                    .then_some((Vpn(v as u32), *pte))
-                            })
-                        })
-                    })
-                })
-            })
+        let last = last.0.min(MAX_VPN);
+        let mut next = first.0;
+        core::iter::from_fn(move || {
+            while next <= last {
+                let v = next;
+                let (i, j, k) = Self::split(Vpn(v));
+                match &self.root[i] {
+                    None => next = (v | 0x1fff) + 1,
+                    Some(mid) => match &mid.leaves[j] {
+                        None => next = (v | 0x3f) + 1,
+                        Some(leaf) => {
+                            next = v + 1;
+                            if leaf.ptes[k].is_valid() {
+                                return Some((Vpn(v), leaf.ptes[k]));
+                            }
+                        }
+                    },
+                }
+            }
+            None
+        })
+    }
+
+    /// Recount every table against the live counts `remove` relies on
+    /// (tests and invariant checks).
+    pub fn check_counts(&self) -> Result<(), String> {
+        let (mut mids, mut leaves, mut valid) = (0, 0, 0);
+        for mid in self.root.iter().flatten() {
+            let mut present = 0;
+            for leaf in mid.leaves.iter().flatten() {
+                let n = leaf.ptes.iter().filter(|p| p.is_valid()).count();
+                if n != leaf.live as usize {
+                    return Err(format!("leaf live {} != {n} valid entries", leaf.live));
+                }
+                present += 1;
+                valid += n;
+            }
+            if present != mid.live as usize {
+                return Err(format!("mid live {} != {present} leaves", mid.live));
+            }
+            mids += 1;
+            leaves += present;
+        }
+        let kept = (self.mid_tables, self.leaf_tables, self.valid);
+        if kept != (mids, leaves, valid) {
+            return Err(format!(
+                "totals {kept:?} != recount {:?}",
+                (mids, leaves, valid)
+            ));
+        }
+        Ok(())
     }
 
     /// Number of valid page mappings.
@@ -331,6 +380,7 @@ mod tests {
         assert_eq!(old.pfn(), Pfn(7));
         assert_eq!(pt.valid_count(), 0);
         assert!(pt.remove(vpn).is_none());
+        pt.check_counts().unwrap();
     }
 
     #[test]
@@ -346,6 +396,7 @@ mod tests {
         assert_eq!(pt.leaf_tables(), 1);
         pt.insert(Vpn(64), Pte::new(Pfn(64), 0));
         assert_eq!(pt.leaf_tables(), 2);
+        pt.check_counts().unwrap();
     }
 
     #[test]
@@ -358,8 +409,10 @@ mod tests {
             pt.table_bytes(),
             base + UPPER_TABLE_BYTES + LEAF_TABLE_BYTES
         );
+        pt.check_counts().unwrap();
         pt.remove(Vpn(0x12345));
         assert_eq!(pt.table_bytes(), base);
+        pt.check_counts().unwrap();
     }
 
     #[test]
@@ -373,6 +426,12 @@ mod tests {
         let mut want = vpns.to_vec();
         want.sort();
         assert_eq!(got, want);
+    }
+
+    fn range(pt: &PageTable, first: u32, last: u32) -> Vec<u32> {
+        pt.iter_range(Vpn(first), Vpn(last))
+            .map(|(v, _)| v.0)
+            .collect()
     }
 
     #[test]
@@ -389,18 +448,103 @@ mod tests {
             (0x813, 0x3_ffff),
             (0x4_0009, 0x4_0009),
         ] {
-            let got: Vec<Vpn> = pt
-                .iter_range(Vpn(first), Vpn(last))
-                .map(|(v, _)| v)
-                .collect();
-            let want: Vec<Vpn> = pt
+            let want: Vec<u32> = pt
                 .iter()
-                .map(|(v, _)| v)
-                .filter(|v| v.0 >= first && v.0 <= last)
+                .map(|(v, _)| v.0)
+                .filter(|v| (first..=last).contains(v))
                 .collect();
-            assert_eq!(got, want, "range {first:#x}..={last:#x}");
+            assert_eq!(
+                range(&pt, first, last),
+                want,
+                "range {first:#x}..={last:#x}"
+            );
         }
         assert_eq!(pt.iter_range(Vpn(0), Vpn(2)).count(), 0);
+    }
+
+    #[test]
+    fn iter_range_boundaries() {
+        let empty = PageTable::new();
+        assert_eq!(range(&empty, 0, u32::MAX), Vec::<u32>::new());
+
+        let mut pt = PageTable::new();
+        // One leaf holds 0x40..=0x7f; 0x2000 starts the second L1 entry.
+        let vpns = [0x40, 0x41, 0x7f, 0x80, 0x1fff, 0x2000, 0x2040, MAX_VPN];
+        for v in vpns {
+            pt.insert(Vpn(v), Pte::new(Pfn(v & 0xffff), 0));
+        }
+        // Inside one leaf, both ends inclusive, neighbours excluded.
+        assert_eq!(range(&pt, 0x41, 0x7e), [0x41]);
+        assert_eq!(range(&pt, 0x40, 0x7f), [0x40, 0x41, 0x7f]);
+        // Across leaves of one mid table.
+        assert_eq!(range(&pt, 0x41, 0x80), [0x41, 0x7f, 0x80]);
+        // Across L1 entries, over a run of absent leaves.
+        assert_eq!(range(&pt, 0x81, 0x2040), [0x1fff, 0x2000, 0x2040]);
+        assert_eq!(range(&pt, 0x2001, 0x203f), Vec::<u32>::new());
+        // first > last is empty, not swapped.
+        assert_eq!(range(&pt, 0x80, 0x40), Vec::<u32>::new());
+        // `last` past the 20-bit space is clamped; `first` past it is empty.
+        assert_eq!(range(&pt, 0x2041, u32::MAX), [MAX_VPN]);
+        assert_eq!(range(&pt, MAX_VPN, MAX_VPN + 7), [MAX_VPN]);
+        assert_eq!(range(&pt, MAX_VPN + 1, u32::MAX), Vec::<u32>::new());
+        assert_eq!(range(&pt, 0, u32::MAX), vpns);
+    }
+
+    /// Random inserts, removes and range queries against an ordered-map
+    /// model: same pages in the same order, live counts exact throughout.
+    #[test]
+    fn iter_range_matches_model_randomised() {
+        use std::collections::BTreeMap;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |below: u32| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((rng >> 33) as u32) % below
+        };
+        // Dense windows at a leaf edge, an L1 edge and the top of the
+        // space, plus a scattered tail.
+        let vpn = |next: &mut dyn FnMut(u32) -> u32| match next(4) {
+            0 => 0x30 + next(0x60),
+            1 => 0x1fc0 + next(0x80),
+            2 => MAX_VPN - next(0x50),
+            _ => next(MAX_VPN + 1),
+        };
+        let mut pt = PageTable::new();
+        let mut model = BTreeMap::new();
+        for round in 0..4_000 {
+            let v = vpn(&mut next);
+            if next(3) == 0 {
+                assert_eq!(pt.remove(Vpn(v)).is_some(), model.remove(&v).is_some());
+            } else {
+                let pte = Pte::new(Pfn(next(0xffff)), 0);
+                pt.insert(Vpn(v), pte);
+                model.insert(v, pte);
+            }
+            let (a, b) = (vpn(&mut next), vpn(&mut next) + next(3) * MAX_VPN);
+            let got: Vec<(u32, Pte)> = pt
+                .iter_range(Vpn(a), Vpn(b))
+                .map(|(v, p)| (v.0, p))
+                .collect();
+            let want: Vec<(u32, Pte)> = if a <= b {
+                model.range(a..=b).map(|(v, p)| (*v, *p)).collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(got, want, "round {round}: range {a:#x}..={b:#x}");
+            if round % 64 == 0 {
+                pt.check_counts().unwrap();
+                assert!(pt
+                    .iter()
+                    .map(|(v, p)| (v.0, p))
+                    .eq(model.iter().map(|(v, p)| (*v, *p))));
+            }
+        }
+        for v in model.keys() {
+            pt.remove(Vpn(*v));
+        }
+        pt.check_counts().unwrap();
+        assert_eq!(pt.table_bytes(), UPPER_TABLE_BYTES);
     }
 
     #[test]
@@ -421,5 +565,6 @@ mod tests {
         assert_eq!(old.pfn(), Pfn(1));
         assert_eq!(pt.valid_count(), 1);
         assert_eq!(pt.lookup(Vpn(1)).pfn(), Pfn(2));
+        pt.check_counts().unwrap();
     }
 }

@@ -14,14 +14,6 @@ use crate::types::Vpn;
 /// Kernel assigns these from its address-space cache slots.
 pub type Asid = u16;
 
-#[derive(Clone, Copy)]
-struct Entry {
-    asid: Asid,
-    vpn: Vpn,
-    pte: Pte,
-    valid: bool,
-}
-
 /// Hit/miss statistics for one TLB.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TlbStats {
@@ -33,9 +25,23 @@ pub struct TlbStats {
     pub flushes: u64,
 }
 
+/// Tag bit marking an entry valid, above the ASID and VPN fields.
+const TAG_VALID: u64 = 1 << 48;
+
+/// The tag of a valid entry: `valid | asid << 32 | vpn`. No valid tag is
+/// zero, so zero marks an empty entry.
+fn tag(asid: Asid, vpn: Vpn) -> u64 {
+    TAG_VALID | (asid as u64) << 32 | vpn.0 as u64
+}
+
 /// A fully-associative TLB with FIFO replacement.
+///
+/// Held as two parallel arrays: one packed `u64` tag per entry beside the
+/// PTEs, so a probe is a single equality per entry over a dense array
+/// (eight tags to a cache line) instead of three field tests per record.
 pub struct Tlb {
-    entries: Vec<Entry>,
+    tags: Vec<u64>,
+    ptes: Vec<Pte>,
     hand: usize,
     /// Statistics, readable by experiments.
     pub stats: TlbStats,
@@ -46,15 +52,8 @@ impl Tlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Tlb {
-            entries: vec![
-                Entry {
-                    asid: 0,
-                    vpn: Vpn(0),
-                    pte: Pte::invalid(),
-                    valid: false,
-                };
-                capacity
-            ],
+            tags: vec![0; capacity],
+            ptes: vec![Pte::invalid(); capacity],
             hand: 0,
             stats: TlbStats::default(),
         }
@@ -62,73 +61,65 @@ impl Tlb {
 
     /// Capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.tags.len()
+    }
+
+    /// Index of the entry tagged `key`, if any (at most one: `insert`
+    /// replaces in place).
+    fn find(&self, key: u64) -> Option<usize> {
+        self.tags.iter().position(|&t| t == key)
     }
 
     /// Look up a translation; counts a hit or miss.
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<Pte> {
-        for e in &self.entries {
-            if e.valid && e.asid == asid && e.vpn == vpn {
-                self.stats.hits += 1;
-                return Some(e.pte);
-            }
+        let found = self.find(tag(asid, vpn));
+        match found {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
-        self.stats.misses += 1;
-        None
+        found.map(|i| self.ptes[i])
     }
 
     /// Install a translation after a walk, evicting FIFO if full. An
     /// existing entry for the same `(asid, vpn)` is replaced in place.
     pub fn insert(&mut self, asid: Asid, vpn: Vpn, pte: Pte) {
-        for e in self.entries.iter_mut() {
-            if e.valid && e.asid == asid && e.vpn == vpn {
-                e.pte = pte;
-                return;
-            }
-        }
-        let slot = self.hand;
-        self.hand = (self.hand + 1) % self.entries.len();
-        self.entries[slot] = Entry {
-            asid,
-            vpn,
-            pte,
-            valid: true,
-        };
+        let key = tag(asid, vpn);
+        let slot = self.find(key).unwrap_or_else(|| {
+            let slot = self.hand;
+            self.hand = (self.hand + 1) % self.tags.len();
+            slot
+        });
+        self.tags[slot] = key;
+        self.ptes[slot] = pte;
     }
 
     /// Drop the entry for one page, if present.
     pub fn flush_page(&mut self, asid: Asid, vpn: Vpn) {
-        for e in self.entries.iter_mut() {
-            if e.valid && e.asid == asid && e.vpn == vpn {
-                e.valid = false;
-                self.stats.flushes += 1;
-            }
+        if let Some(i) = self.find(tag(asid, vpn)) {
+            self.tags[i] = 0;
+            self.stats.flushes += 1;
         }
     }
 
     /// Drop every entry belonging to one address space.
     pub fn flush_asid(&mut self, asid: Asid) {
-        for e in self.entries.iter_mut() {
-            if e.valid && e.asid == asid {
-                e.valid = false;
-                self.stats.flushes += 1;
-            }
+        // The key carries the valid bit, so empty entries never match.
+        let key = tag(asid, Vpn(0)) >> 32;
+        for t in self.tags.iter_mut().filter(|t| **t >> 32 == key) {
+            *t = 0;
+            self.stats.flushes += 1;
         }
     }
 
     /// Drop everything.
     pub fn flush_all(&mut self) {
-        for e in self.entries.iter_mut() {
-            if e.valid {
-                e.valid = false;
-                self.stats.flushes += 1;
-            }
-        }
+        self.stats.flushes += self.occupancy() as u64;
+        self.tags.fill(0);
     }
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 
@@ -136,6 +127,163 @@ impl Tlb {
 mod tests {
     use super::*;
     use crate::types::Pfn;
+
+    /// The array-of-structs TLB this module shipped before the packed
+    /// tags: a linear scan with an early exit over `(asid, vpn, pte,
+    /// valid)` records. Kept as the reference model.
+    mod reference {
+        use super::super::{Asid, Pte, TlbStats, Vpn};
+
+        #[derive(Clone, Copy)]
+        struct Entry {
+            asid: Asid,
+            vpn: Vpn,
+            pte: Pte,
+            valid: bool,
+        }
+
+        pub struct Tlb {
+            entries: Vec<Entry>,
+            hand: usize,
+            pub stats: TlbStats,
+        }
+
+        impl Tlb {
+            pub fn new(capacity: usize) -> Self {
+                assert!(capacity > 0);
+                let empty = Entry {
+                    asid: 0,
+                    vpn: Vpn(0),
+                    pte: Pte::invalid(),
+                    valid: false,
+                };
+                Tlb {
+                    entries: vec![empty; capacity],
+                    hand: 0,
+                    stats: TlbStats::default(),
+                }
+            }
+
+            pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<Pte> {
+                for e in &self.entries {
+                    if e.valid && e.asid == asid && e.vpn == vpn {
+                        self.stats.hits += 1;
+                        return Some(e.pte);
+                    }
+                }
+                self.stats.misses += 1;
+                None
+            }
+
+            pub fn insert(&mut self, asid: Asid, vpn: Vpn, pte: Pte) {
+                for e in self.entries.iter_mut() {
+                    if e.valid && e.asid == asid && e.vpn == vpn {
+                        e.pte = pte;
+                        return;
+                    }
+                }
+                let slot = self.hand;
+                self.hand = (self.hand + 1) % self.entries.len();
+                self.entries[slot] = Entry {
+                    asid,
+                    vpn,
+                    pte,
+                    valid: true,
+                };
+            }
+
+            fn flush_if(&mut self, m: impl Fn(&Entry) -> bool) {
+                for e in self.entries.iter_mut() {
+                    if e.valid && m(e) {
+                        e.valid = false;
+                        self.stats.flushes += 1;
+                    }
+                }
+            }
+
+            pub fn flush_page(&mut self, asid: Asid, vpn: Vpn) {
+                self.flush_if(|e| e.asid == asid && e.vpn == vpn);
+            }
+
+            pub fn flush_asid(&mut self, asid: Asid) {
+                self.flush_if(|e| e.asid == asid);
+            }
+
+            pub fn flush_all(&mut self) {
+                self.flush_if(|_| true);
+            }
+
+            pub fn occupancy(&self) -> usize {
+                self.entries.iter().filter(|e| e.valid).count()
+            }
+        }
+    }
+
+    /// Random operation sequences leave the packed-tag TLB and the
+    /// reference model indistinguishable: same return values, statistics
+    /// and occupancy after every operation — so also the same victim on
+    /// overflow, since a different victim shows as a different hit later.
+    #[test]
+    fn matches_reference_model() {
+        for capacity in [1usize, 3, 64] {
+            let mut rng = 0x5eed_0000_0000_0001u64 ^ capacity as u64;
+            let mut next = move |below: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % below
+            };
+            let mut tlb = Tlb::new(capacity);
+            let mut model = reference::Tlb::new(capacity);
+            for step in 0..20_000 {
+                // Few enough pages to hit often, enough to overflow; the
+                // extreme ASID and VPN exercise the tag's field edges.
+                let asid = [0, 1, 2, Asid::MAX][next(4) as usize];
+                let vpn = match next(8) {
+                    0 => Vpn(u32::MAX),
+                    _ => Vpn(next(2 * capacity as u64 + 2) as u32),
+                };
+                let what = next(100);
+                match what {
+                    0..=44 => assert_eq!(
+                        tlb.lookup(asid, vpn),
+                        model.lookup(asid, vpn),
+                        "step {step}"
+                    ),
+                    45..=84 => {
+                        let p = pte(next(0xf_ffff) as u32);
+                        tlb.insert(asid, vpn, p);
+                        model.insert(asid, vpn, p);
+                    }
+                    85..=93 => {
+                        tlb.flush_page(asid, vpn);
+                        model.flush_page(asid, vpn);
+                    }
+                    94..=98 => {
+                        tlb.flush_asid(asid);
+                        model.flush_asid(asid);
+                    }
+                    _ => {
+                        tlb.flush_all();
+                        model.flush_all();
+                    }
+                }
+                assert_eq!(tlb.stats, model.stats, "step {step} (op {what})");
+                assert_eq!(tlb.occupancy(), model.occupancy(), "step {step}");
+            }
+            // Every resident translation agrees, entry by entry.
+            for asid in [0, 1, 2, Asid::MAX] {
+                for v in (0..2 * capacity as u32 + 2).chain([u32::MAX]) {
+                    assert_eq!(tlb.lookup(asid, Vpn(v)), model.lookup(asid, Vpn(v)));
+                }
+            }
+            let s = tlb.stats;
+            assert!(
+                s.hits > 100 && s.flushes > 100,
+                "capacity {capacity}: {s:?}"
+            );
+        }
+    }
 
     fn pte(n: u32) -> Pte {
         Pte::new(Pfn(n), Pte::WRITABLE)

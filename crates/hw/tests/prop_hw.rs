@@ -57,6 +57,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(pt.valid_count(), model.len());
+            prop_assert_eq!(pt.check_counts(), Ok(()));
         }
         // Iteration agrees with the model exactly.
         let mut from_pt: Vec<(u32, u32)> = pt.iter().map(|(v, p)| (v.0, p.pfn().0)).collect();

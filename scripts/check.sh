@@ -91,13 +91,24 @@ echo "== messaging bench smoke (criterion baselines) =="
 cargo bench -q -p bench --bench signal_latency -- --save-baseline msg-gate > /dev/null
 cargo bench -q -p bench --bench ipc_channel -- --save-baseline msg-gate > /dev/null
 
-echo "== ckbench gate (benchmark unit tests, BENCHMARK.json contract, ck_thrash smoke) =="
+echo "== ckbench gate (benchmark unit tests, BENCHMARK.json contract, exact sim fingerprints) =="
 ckbench() {
   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- "$@"
 }
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 diff -u BENCHMARK.json <(ckbench --contract)
-ckbench --workload ck_thrash --seed 7 --reps 3 | tail -n 1 | grep -q '"correct": true'
+# The simulation is deterministic, so any sim-cycle or counter change
+# shows as a different fingerprint: every workload must pass its own
+# correctness check and print exactly the pinned hash.
+grep -v '^#' scripts/ckbench.fingerprints | while read -r workload want; do
+  out="$(ckbench --workload "$workload" --seed 7 --reps 3 --trace 0 2>&1)"
+  got="$(sed -n 's/^bench\.sim_fingerprint  *\([0-9a-f]*\) .*/\1/p' <<<"$out")"
+  if ! grep -q '^{"correct": true' <<<"$out" || [[ "$got" != "$want" ]]; then
+    echo "ckbench $workload: fingerprint '$got', pinned '$want' (or the run was not correct)" >&2
+    exit 1
+  fi
+  echo "  $workload $got"
+done
 
 if [[ "${TSAN:-0}" == "1" ]]; then
   # Opt-in ThreadSanitizer pass over the cross-thread paths (the SPSC

@@ -313,14 +313,21 @@ impl CacheKernel {
         Ok(())
     }
 
-    /// The hardware-cache side of the capability visibility invariant:
-    /// no reverse-TLB entry on any CPU resolves a frame for a thread
-    /// whose kernel's grant does not cover it. Separate from
+    /// The hardware-cache side of the invariants, separate from
     /// [`check_invariants`](CacheKernel::check_invariants) because the
-    /// rTLBs live per-CPU in the machine, which the Cache Kernel does
-    /// not own. A no-op unless `caps_enforce` is armed; the first
-    /// kernel is exempt.
+    /// TLBs and rTLBs live per-CPU in the machine, which the Cache Kernel
+    /// does not own. Every CPU's TLB presence filter recounts equal to
+    /// its tags (the machine-side sibling of invariant 3's
+    /// `PageTable::check_counts`); and, with `caps_enforce` armed, the
+    /// capability visibility invariant holds in hardware: no reverse-TLB
+    /// entry on any CPU resolves a frame for a thread whose kernel's
+    /// grant does not cover it (the first kernel is exempt).
     pub fn check_visibility(&self, mpm: &Mpm) -> Result<(), String> {
+        for (i, cpu) in mpm.cpus.iter().enumerate() {
+            cpu.tlb
+                .check_filter()
+                .map_err(|e| format!("cpu {i}: {e}"))?;
+        }
         if !self.config.caps_enforce {
             return Ok(());
         }

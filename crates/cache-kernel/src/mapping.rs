@@ -137,8 +137,9 @@ impl CacheKernel {
             self.physmap.attach_cow(handle, src);
         }
         let pte = Pte::new(paddr.pfn(), flags & !(Pte::REFERENCED | Pte::MODIFIED));
-        self.space_mut(space)?.pt.insert(vpn, pte);
-        self.space_mut(space)?.referenced = true;
+        let s = self.space_mut(space)?;
+        s.pt.insert(vpn, pte);
+        s.referenced = true;
         if flags & Pte::LOCKED != 0 {
             self.kernel_mut(caller)?.locked_mappings += 1;
         }
@@ -239,17 +240,17 @@ impl CacheKernel {
         signal_thread: Option<ObjId>,
         mpm: &mut Mpm,
     ) -> CkResult<TransferOutcome> {
-        {
+        let src_vpn = src_vaddr.vpn();
+        let src_pte = {
             let s = self.space(src_space)?;
             if s.owner != caller {
                 return Err(CkError::NotOwner(src_space));
             }
-        }
-        let src_vpn = src_vaddr.vpn();
-        if src_space == dst_space && src_vpn == dst_vaddr.vpn() {
-            return Err(CkError::Invalid);
-        }
-        let src_pte = self.space(src_space)?.pt.lookup(src_vpn);
+            if src_space == dst_space && src_vpn == dst_vaddr.vpn() {
+                return Err(CkError::Invalid);
+            }
+            s.pt.lookup(src_vpn)
+        };
         if !src_pte.is_valid() {
             return Err(CkError::NoMapping);
         }
@@ -258,8 +259,11 @@ impl CacheKernel {
         // One probe to count the frame's holders; a multiply-mapped frame
         // stays put and the caller copies instead.
         self.charge_op(mpm, mpm.config.cost.hash_probe);
-        let mut holders = 0usize;
-        self.physmap.visit_p2v(paddr, |_| holders += 1);
+        let (mut holders, mut sole) = (0usize, 0);
+        self.physmap.visit_p2v(paddr, |m| {
+            holders += 1;
+            sole = m.handle;
+        });
         if holders > 1 {
             return Ok(TransferOutcome::MultiplyMapped);
         }
@@ -267,16 +271,13 @@ impl CacheKernel {
         // Sole holder: tear the source mapping down first (no siblings,
         // so no consistency cascade fires), then install the destination
         // mapping. Teardown first also means the transient state is
-        // "unmapped", never "aliased in two spaces".
+        // "unmapped", never "aliased in two spaces". The frame's one
+        // record is the source mapping's own (page tables and the map
+        // agree), so the probe above already found its signal thread.
         let src_flags = src_pte.flags();
         let src_sig = self
             .physmap
-            .find_p2v_exact(
-                paddr,
-                Self::asid_of(src_space) as u32,
-                src_vaddr.page_base(),
-            )
-            .and_then(|h| self.physmap.signal_of(h))
+            .signal_of(sole)
             .and_then(|slot| self.threads.id_of_slot(slot as u16));
         // With one holder the only CPU that can cache the stale
         // translation is the one the sender last ran on, and it is in the

@@ -69,6 +69,8 @@ pub struct Detached {
     pub signal: Option<u32>,
     /// The copy-on-write source frame recorded on it, if any.
     pub cow: Option<Paddr>,
+    /// Whether the frame is still mapped somewhere else.
+    pub shared: bool,
 }
 
 /// Simulator-side links of an arena slot, parallel to its record (the
@@ -270,21 +272,6 @@ impl PhysMap {
         core::iter::successors(nz(head), |&h| nz(self.records[ix(h)].next))
     }
 
-    /// The record for exactly `(paddr, asid, vaddr)` with its predecessor
-    /// in the hash chain (0 = the bucket head).
-    fn find_exact(&self, paddr: Paddr, asid: u32, vaddr: Vaddr) -> Option<(RecHandle, RecHandle)> {
-        let (key, vpage) = (paddr.page_base().0, vaddr.page_base().0);
-        let mut prev = 0;
-        for h in self.chain(key) {
-            let r = &self.records[ix(h)];
-            if r.key == key && r.context == asid && r.dependent == vpage {
-                return Some((prev, h));
-            }
-            prev = h;
-        }
-        None
-    }
-
     /// Record a physical-to-virtual mapping, youngest in the replacement
     /// order. Returns `None` if the map is at capacity (the Cache Kernel
     /// reclaims a mapping first).
@@ -330,14 +317,31 @@ impl PhysMap {
 
     /// The specific physical-to-virtual record for `(paddr, asid, vaddr)`.
     pub fn find_p2v_exact(&self, paddr: Paddr, asid: u32, vaddr: Vaddr) -> Option<RecHandle> {
-        self.find_exact(paddr, asid, vaddr).map(|(_, h)| h)
+        let want = (paddr.page_base().0, asid, vaddr.page_base().0);
+        self.chain(want.0).find(|&h| {
+            let r = &self.records[ix(h)];
+            (r.key, r.context, r.dependent) == want
+        })
     }
 
     /// Remove the physical-to-virtual record for `(paddr, asid, vaddr)`
     /// and the signal/COW records attached to it, in one chain walk;
-    /// reports what was attached.
+    /// reports what was attached and whether the frame has another
+    /// mapping left (all of a frame's records share the chain).
     pub fn remove_p2v_exact(&mut self, paddr: Paddr, asid: u32, vaddr: Vaddr) -> Option<Detached> {
-        let (prev, h) = self.find_exact(paddr, asid, vaddr)?;
+        let want = (paddr.page_base().0, asid, vaddr.page_base().0);
+        // The record with its chain predecessor (0 = the bucket head).
+        let (mut before, mut found, mut shared) = (0, None, false);
+        for h in self.chain(want.0) {
+            let r = &self.records[ix(h)];
+            if found.is_none() && (r.key, r.context, r.dependent) == want {
+                found = Some((before, h));
+            } else {
+                shared |= r.key == want.0;
+            }
+            before = h;
+        }
+        let (prev, h) = found?;
         let rec = self.records[ix(h)];
         match prev {
             0 => {
@@ -353,6 +357,7 @@ impl PhysMap {
         let gone = Detached {
             signal: dependent(signal),
             cow: dependent(cow).map(Paddr),
+            shared,
         };
         if let Some(thread) = gone.signal {
             unlink(&mut self.side, &mut self.sig_lists[thread as usize], signal);
@@ -642,6 +647,13 @@ mod tests {
         m.insert_p2v(Paddr(0x2000), Vaddr(0xc000), 1).unwrap();
         assert_eq!(m.find_p2v(Paddr(0x1000)).len(), 2);
         assert_eq!(m.find_p2v(Paddr(0x2000)).len(), 1);
+        // A removal reports whether the frame keeps another mapping.
+        let shared = |m: &mut PhysMap, va, asid| {
+            let gone = m.remove_p2v_exact(Paddr(0x1000), asid, Vaddr(va));
+            gone.map(|g| g.shared)
+        };
+        assert_eq!(shared(&mut m, 0xa000, 1), Some(true));
+        assert_eq!(shared(&mut m, 0xb000, 2), Some(false));
     }
 
     #[test]
@@ -669,6 +681,7 @@ mod tests {
         let want = Detached {
             signal: Some(5),
             cow: Some(Paddr(0x7000)),
+            shared: false,
         };
         assert_eq!(gone, Some(want));
         assert_eq!(m.len(), 0);

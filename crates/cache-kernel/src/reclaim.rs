@@ -98,12 +98,13 @@ impl CacheKernel {
             }
         }
 
-        // Remove the dependency records in one chain walk; note whether a
-        // signal was registered on them.
-        let had_signal = self
+        // Remove the dependency records in one chain walk; the same walk
+        // says whether the consistency flush below has anything to do: a
+        // signal was registered on them and the frame is mapped elsewhere.
+        let flush_siblings = self
             .physmap
             .remove_p2v_exact(paddr, asid as u32, vaddr)
-            .is_some_and(|gone| gone.signal.is_some());
+            .is_some_and(|gone| gone.signal.is_some() && gone.shared);
 
         let state = MappingState {
             vaddr,
@@ -130,7 +131,7 @@ impl CacheKernel {
             });
         }
 
-        if had_signal {
+        if flush_siblings {
             // Flush all writable mappings of this frame, in any space.
             let mut others = core::mem::take(&mut self.p2v_scratch);
             others.clear();

@@ -119,12 +119,8 @@ impl CacheKernel {
             self.batch_scratch = batch;
             return;
         }
-        batch.pages.sort_unstable_by_key(|&(a, v)| (a, v.0));
-        batch.pages.dedup();
-        batch.frames.sort_unstable();
-        batch.frames.dedup();
-        batch.threads.sort_unstable();
-        batch.threads.dedup();
+        // Every flush is idempotent and nothing here counts or ships the
+        // lists, so they go out as collected: no sort, no dedup.
         mpm.flush_pages_all_cpus(&batch.pages);
         mpm.flush_asids_all_cpus(&batch.asids);
         mpm.rtlb_invalidate_many(&batch.frames);

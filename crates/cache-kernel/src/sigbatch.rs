@@ -10,15 +10,19 @@
 //! eliminates for TLB rounds. A [`SignalBatch`] collects the raises of
 //! one round and [`CacheKernel::finish_signal_batch`] delivers them
 //! wholesale: **one** `signal_slow` two-stage lookup per unique page
-//! (not per raise), one arena lookup and at most one wakeup per receiving
-//! thread. A batch of one keeps the eager path — including the
-//! reverse-TLB fast path — so single-signal latency is untouched.
+//! (not per raise) and at most one wakeup per receiving thread. A batch
+//! of one keeps the eager path — including the reverse-TLB fast path — so
+//! single-signal latency is untouched.
 //!
-//! Delivery is observably identical to raising each signal eagerly: every
-//! receiver's queue ends with the same signals in the same order (raises
-//! are replayed in arrival order per thread), only the charged cycles and
-//! the fast/slow counter split differ. `tests/prop_signal_batch.rs`
-//! pins this equivalence over random signal storms.
+//! Every receiver's queue ends with the same signals in the same order as
+//! raising each signal eagerly (the raises are replayed in arrival
+//! order), and the same threads wake. Two things differ: the charged
+//! cycles with the fast/slow counter split, and the *wake order* — the
+//! woken threads enter the ready queue in ascending slot order once the
+//! whole batch is queued, where eager raises enqueue each thread at its
+//! first delivery. Within one priority the scheduler therefore dequeues a
+//! batch's wakeups by slot, not by arrival. `tests/prop_signal_batch.rs`
+//! pins both the equivalence and the order over random signal storms.
 
 use crate::ck::CacheKernel;
 use crate::events::KernelEvent;
@@ -33,12 +37,17 @@ use hw::{Mpm, Paddr, Pfn, RtlbEntry, Vaddr};
 pub struct SignalBatch {
     /// The raised physical addresses, in arrival order.
     raises: Vec<Paddr>,
-    // Flush-time working storage, reused across rounds.
+    // Flush-time working storage, reused across rounds: `page << 32 |
+    // arrival position` of every raise, the unique pages in ascending
+    // order, each raise's index into them, each page's `(start, len)`
+    // segment of `receivers` with the raises it took, and the threads to
+    // wake.
+    keys: Vec<u64>,
     pages: Vec<Pfn>,
+    raise_page: Vec<u32>,
     receivers: Vec<(u32, Vaddr)>,
-    segs: Vec<(u32, u32)>,
-    page_raises: Vec<u32>,
-    deliveries: Vec<(u16, Vaddr)>,
+    segs: Vec<(u32, u32, u32)>,
+    woken: Vec<u16>,
 }
 
 impl SignalBatch {
@@ -89,9 +98,8 @@ impl CacheKernel {
     /// reverse-TLB fast path included — so Table 2's single-signal cost
     /// is preserved. Two or more raises coalesce: one `signal_slow`
     /// two-stage lookup is charged per *unique page* in the batch, and
-    /// each receiving thread is touched once (one arena lookup, all its
-    /// signals queued, at most one wakeup) regardless of how many raises
-    /// it receives.
+    /// each receiving thread is woken at most once regardless of how many
+    /// raises it receives.
     pub fn finish_signal_batch(
         &mut self,
         mut batch: SignalBatch,
@@ -109,12 +117,26 @@ impl CacheKernel {
             return self.raise_signal(mpm, cpu, paddr).receivers();
         }
 
+        // Sorting the raises by page, each tagged with its arrival
+        // position, finds the unique pages and tells every raise which
+        // one it is on in one pass — no search per raise later.
+        batch.keys.clear();
+        let tagged = batch.raises.iter().zip(0u64..);
+        let keys = tagged.map(|(p, at)| u64::from(p.pfn().0) << 32 | at);
+        batch.keys.extend(keys);
+        batch.keys.sort_unstable();
+        batch.pages.clear();
+        batch.raise_page.clear();
+        batch.raise_page.resize(batch.raises.len(), 0);
+        for &key in &batch.keys {
+            let pfn = Pfn((key >> 32) as u32);
+            if batch.pages.last() != Some(&pfn) {
+                batch.pages.push(pfn);
+            }
+            batch.raise_page[key as u32 as usize] = batch.pages.len() as u32 - 1;
+        }
         // One two-stage lookup per unique page, charged up front the way
         // the eager slow path charges before its lookup.
-        batch.pages.clear();
-        batch.pages.extend(batch.raises.iter().map(|p| p.pfn()));
-        batch.pages.sort_unstable();
-        batch.pages.dedup();
         let signal_slow = mpm.config.cost.signal_slow;
         let cost = signal_slow * batch.pages.len() as u64;
         mpm.clock.charge(cost);
@@ -131,7 +153,7 @@ impl CacheKernel {
                     batch.receivers.push((thread, vaddr));
                 });
             let len = batch.receivers.len() - start;
-            batch.segs.push((start as u32, len as u32));
+            batch.segs.push((start as u32, len as u32, 0));
             // A sole receiver keeps the reverse-TLB entry useful, exactly
             // as the eager slow path refills it.
             if len == 1 {
@@ -141,63 +163,41 @@ impl CacheKernel {
         }
 
         // Replay the raises in arrival order against the resolved pages,
-        // expanding each into its per-receiver deliveries. The stable
-        // sort then groups deliveries by thread while preserving each
-        // thread's arrival order — the property the equivalence test
-        // pins.
-        batch.page_raises.clear();
-        batch.page_raises.resize(batch.pages.len(), 0);
-        batch.deliveries.clear();
+        // straight into the receivers' queues: each thread's queue grows
+        // in arrival order, the property the equivalence test pins. A
+        // thread found waiting turns Ready at its first queued signal and
+        // is noted, so it is woken once.
+        batch.woken.clear();
+        let bound = self.config.signal_queue_bound;
         let mut delivered_raises = 0u64;
-        for &raise in &batch.raises {
-            let idx = batch
-                .pages
-                .binary_search(&raise.pfn())
-                .expect("raised page is in the deduped page list");
-            let (start, len) = batch.segs[idx];
-            if len == 0 {
+        let mut dropped = 0u64;
+        for (&raise, &page) in batch.raises.iter().zip(&batch.raise_page) {
+            let (start, len, raises) = &mut batch.segs[page as usize];
+            if *len == 0 {
                 continue;
             }
             delivered_raises += 1;
-            batch.page_raises[idx] += 1;
-            for &(thread, vbase) in &batch.receivers[start as usize..(start + len) as usize] {
-                batch
-                    .deliveries
-                    .push((thread as u16, Vaddr(vbase.0 | raise.offset())));
+            *raises += 1;
+            let (start, len) = (*start as usize, *len as usize);
+            for &(thread, vbase) in &batch.receivers[start..start + len] {
+                let Some(t) = self.threads.get_slot_mut(thread as u16) else {
+                    continue;
+                };
+                if bound != 0 && t.signal_queue.len() >= bound {
+                    dropped += 1;
+                    continue;
+                }
+                t.signal_queue.push_back(Vaddr(vbase.0 | raise.offset()));
+                if t.desc.state == ThreadState::WaitSignal {
+                    t.desc.state = ThreadState::Ready;
+                    batch.woken.push(thread as u16);
+                }
             }
         }
-        batch.deliveries.sort_by_key(|&(slot, _)| slot);
-
-        // One arena lookup and at most one wakeup per receiving thread.
-        let bound = self.config.signal_queue_bound;
-        let mut dropped = 0u64;
-        let mut i = 0;
-        while i < batch.deliveries.len() {
-            let slot = batch.deliveries[i].0;
-            let mut j = i + 1;
-            while j < batch.deliveries.len() && batch.deliveries[j].0 == slot {
-                j += 1;
-            }
-            let mut wake = false;
-            if let Some(t) = self.threads.get_slot_mut(slot) {
-                let mut pushed = 0usize;
-                for &(_, va) in &batch.deliveries[i..j] {
-                    if bound != 0 && t.signal_queue.len() >= bound {
-                        dropped += 1;
-                    } else {
-                        t.signal_queue.push_back(va);
-                        pushed += 1;
-                    }
-                }
-                if pushed > 0 && t.desc.state == ThreadState::WaitSignal {
-                    t.desc.state = ThreadState::Ready;
-                    wake = true;
-                }
-            }
-            if wake {
-                self.enqueue_thread(slot);
-            }
-            i = j;
+        // Wake in ascending slot order, whatever order the raises came in.
+        batch.woken.sort_unstable();
+        for &slot in &batch.woken {
+            self.enqueue_thread(slot);
         }
 
         self.stats.signal_batches += 1;
@@ -208,12 +208,11 @@ impl CacheKernel {
         // total deliveries it produced; with tracing off, one slow-path
         // tick per such page (= the two-stage lookups actually performed
         // for live pages, matching what the eager gate counts).
-        for (idx, &pfn) in batch.pages.iter().enumerate() {
-            let (_, len) = batch.segs[idx];
+        for (&pfn, &(_, len, raises)) in batch.pages.iter().zip(&batch.segs) {
             if len == 0 {
                 continue;
             }
-            let receivers = len as usize * batch.page_raises[idx] as usize;
+            let receivers = len as usize * raises as usize;
             if self.signal_events {
                 self.emit(KernelEvent::Signal {
                     paddr: pfn.base(),

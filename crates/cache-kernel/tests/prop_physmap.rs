@@ -127,10 +127,12 @@ impl Model {
         }
     }
 
-    fn detached(rec: &ModelRec) -> Detached {
+    /// What removing `rec` (already taken out of `recs`) reports.
+    fn detached(&self, rec: &ModelRec) -> Detached {
         Detached {
             signal: rec.signal.map(u32::from),
             cow: rec.cow.map(pa),
+            shared: self.recs.values().any(|r| r.frame == rec.frame),
         }
     }
 }
@@ -163,7 +165,7 @@ proptest! {
                     let rec = model.recs.remove(&h).unwrap();
                     let (p, v, asid) = (pa(rec.frame), va(rec.vpage), rec.asid as u32);
                     prop_assert_eq!(m.find_p2v_exact(p, asid, v), Some(h));
-                    prop_assert_eq!(m.remove_p2v_exact(p, asid, v), Some(Model::detached(&rec)));
+                    prop_assert_eq!(m.remove_p2v_exact(p, asid, v), Some(model.detached(&rec)));
                     prop_assert_eq!(m.remove_p2v_exact(p, asid, v), None);
                 }
                 Op::AttachSignal { pick, thread } => {
@@ -237,7 +239,7 @@ proptest! {
                         handles.retain(|&x| x != h);
                         let rec = model.recs.remove(&h).unwrap();
                         let gone = m.remove_p2v_exact(pa(rec.frame), rec.asid as u32, va(rec.vpage));
-                        prop_assert_eq!(gone, Some(Model::detached(&rec)));
+                        prop_assert_eq!(gone, Some(model.detached(&rec)));
                     }
                 }
             }

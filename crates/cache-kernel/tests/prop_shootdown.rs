@@ -189,7 +189,9 @@ proptest! {
                 }
             }
         }
-        a.ck.check_invariants().unwrap();
-        b.ck.check_invariants().unwrap();
+        for w in [&a, &b] {
+            w.ck.check_invariants().unwrap();
+            w.ck.check_visibility(&w.mpm).unwrap();
+        }
     }
 }

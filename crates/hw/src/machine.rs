@@ -194,6 +194,7 @@ impl Mpm {
                 (p, false)
             }
         };
+        let cached = pte;
 
         if write && pte.has(Pte::COW) {
             return Err(Fault {
@@ -221,8 +222,11 @@ impl Mpm {
                 .update(vpn, |p| p.with(dirty_bits))
                 .unwrap_or(pte.with(dirty_bits));
         }
-        let c = &mut self.cpus[cpu];
-        c.tlb.insert(asid, vpn, pte);
+        // A hit whose entry already carries these bits has nothing to
+        // refill: skip the second probe.
+        if !tlb_hit || pte != cached {
+            self.cpus[cpu].tlb.insert(asid, vpn, pte);
+        }
 
         let paddr = Paddr(pte.pfn().base().0 | vaddr.offset());
 

@@ -34,14 +34,31 @@ fn tag(asid: Asid, vpn: Vpn) -> u64 {
     TAG_VALID | (asid as u64) << 32 | vpn.0 as u64
 }
 
+/// Counters in the presence filter.
+const FILTER_SLOTS: usize = 256;
+
+/// Filter counter of a tag: the high byte of its Fibonacci hash (the low
+/// product bits depend only on the VPN's low bits).
+fn filter_slot(tag: u64) -> usize {
+    (tag.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as usize
+}
+
 /// A fully-associative TLB with FIFO replacement.
 ///
 /// Held as two parallel arrays: one packed `u64` tag per entry beside the
 /// PTEs, so a probe is a single equality per entry over a dense array
 /// (eight tags to a cache line) instead of three field tests per record.
+///
+/// Beside them sits an exact counting presence filter: `filter[s]` is the
+/// number of valid tags whose [`filter_slot`] is `s`. A zero counter
+/// proves a tag absent without the scan, which is what a shootdown finds
+/// on nearly every CPU and what precedes every page-table walk. The
+/// counters shadow the tags, so every tag store goes through
+/// [`Tlb::set_tag`] and [`Tlb::check_filter`] recounts them.
 pub struct Tlb {
     tags: Vec<u64>,
     ptes: Vec<Pte>,
+    filter: [u16; FILTER_SLOTS],
     hand: usize,
     /// Statistics, readable by experiments.
     pub stats: TlbStats,
@@ -50,10 +67,12 @@ pub struct Tlb {
 impl Tlb {
     /// A TLB with `capacity` entries (the prototype-era 68040 had 64).
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
+        // Every entry may hash to one filter counter.
+        assert!(capacity > 0 && capacity <= u16::MAX as usize);
         Tlb {
             tags: vec![0; capacity],
             ptes: vec![Pte::invalid(); capacity],
+            filter: [0; FILTER_SLOTS],
             hand: 0,
             stats: TlbStats::default(),
         }
@@ -64,9 +83,24 @@ impl Tlb {
         self.tags.len()
     }
 
+    /// Store `key` (0 = empty) as entry `i`'s tag — the one place tags
+    /// change, so the one place the filter is kept equal to them.
+    fn set_tag(&mut self, i: usize, key: u64) {
+        let old = core::mem::replace(&mut self.tags[i], key);
+        if old != 0 {
+            self.filter[filter_slot(old)] -= 1;
+        }
+        if key != 0 {
+            self.filter[filter_slot(key)] += 1;
+        }
+    }
+
     /// Index of the entry tagged `key`, if any (at most one: `insert`
     /// replaces in place).
     fn find(&self, key: u64) -> Option<usize> {
+        if self.filter[filter_slot(key)] == 0 {
+            return None;
+        }
         self.tags.iter().position(|&t| t == key)
     }
 
@@ -87,16 +121,16 @@ impl Tlb {
         let slot = self.find(key).unwrap_or_else(|| {
             let slot = self.hand;
             self.hand = (self.hand + 1) % self.tags.len();
+            self.set_tag(slot, key);
             slot
         });
-        self.tags[slot] = key;
         self.ptes[slot] = pte;
     }
 
     /// Drop the entry for one page, if present.
     pub fn flush_page(&mut self, asid: Asid, vpn: Vpn) {
         if let Some(i) = self.find(tag(asid, vpn)) {
-            self.tags[i] = 0;
+            self.set_tag(i, 0);
             self.stats.flushes += 1;
         }
     }
@@ -105,21 +139,41 @@ impl Tlb {
     pub fn flush_asid(&mut self, asid: Asid) {
         // The key carries the valid bit, so empty entries never match.
         let key = tag(asid, Vpn(0)) >> 32;
-        for t in self.tags.iter_mut().filter(|t| **t >> 32 == key) {
-            *t = 0;
-            self.stats.flushes += 1;
+        for i in 0..self.tags.len() {
+            if self.tags[i] >> 32 == key {
+                self.set_tag(i, 0);
+                self.stats.flushes += 1;
+            }
         }
     }
 
     /// Drop everything.
     pub fn flush_all(&mut self) {
         self.stats.flushes += self.occupancy() as u64;
-        self.tags.fill(0);
+        for i in 0..self.tags.len() {
+            self.set_tag(i, 0);
+        }
     }
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != 0).count()
+    }
+
+    /// Recount the presence filter from the tags and compare: the filter
+    /// is a shadow of the tags and must never drift from them.
+    pub fn check_filter(&self) -> Result<(), String> {
+        let mut want = [0u16; FILTER_SLOTS];
+        for &t in self.tags.iter().filter(|&&t| t != 0) {
+            want[filter_slot(t)] += 1;
+        }
+        match (0..FILTER_SLOTS).find(|&s| want[s] != self.filter[s]) {
+            Some(s) => Err(format!(
+                "tlb filter counter {s} holds {}, its tags count {}",
+                self.filter[s], want[s]
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -222,10 +276,11 @@ mod tests {
     /// Random operation sequences leave the packed-tag TLB and the
     /// reference model indistinguishable: same return values, statistics
     /// and occupancy after every operation — so also the same victim on
-    /// overflow, since a different victim shows as a different hit later.
+    /// overflow, since a different victim shows as a different hit later —
+    /// and the presence filter recounts equal after every operation.
     #[test]
     fn matches_reference_model() {
-        for capacity in [1usize, 3, 64] {
+        for capacity in [1usize, 3, 64, 300] {
             let mut rng = 0x5eed_0000_0000_0001u64 ^ capacity as u64;
             let mut next = move |below: u64| {
                 rng = rng
@@ -270,6 +325,7 @@ mod tests {
                 }
                 assert_eq!(tlb.stats, model.stats, "step {step} (op {what})");
                 assert_eq!(tlb.occupancy(), model.occupancy(), "step {step}");
+                assert_eq!(tlb.check_filter(), Ok(()), "step {step} (op {what})");
             }
             // Every resident translation agrees, entry by entry.
             for asid in [0, 1, 2, Asid::MAX] {
@@ -283,6 +339,40 @@ mod tests {
                 "capacity {capacity}: {s:?}"
             );
         }
+    }
+
+    /// More tags than a byte counts may share one filter counter: fill a
+    /// 300-entry TLB with tags chosen to collide, then flush them one by
+    /// one. A counter that wrapped at 256 would read 44 after the fill and
+    /// call the last 256 pages absent.
+    #[test]
+    fn one_filter_counter_holds_a_whole_tlb() {
+        let capacity = 300;
+        let slot = filter_slot(tag(1, Vpn(0)));
+        let colliding: Vec<Vpn> = (0..)
+            .map(Vpn)
+            .filter(|&v| filter_slot(tag(1, v)) == slot)
+            .take(capacity)
+            .collect();
+        let mut t = Tlb::new(capacity);
+        for &v in &colliding {
+            t.insert(1, v, pte(v.0));
+        }
+        assert_eq!(t.filter[slot] as usize, capacity);
+        assert_eq!(t.check_filter(), Ok(()));
+        for &v in &colliding {
+            assert_eq!(t.lookup(1, v), Some(pte(v.0)));
+            t.flush_page(1, v);
+            assert_eq!(t.lookup(1, v), None);
+        }
+        assert_eq!(t.occupancy(), 0);
+        assert_eq!(t.check_filter(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic]
+    fn capacity_beyond_the_filter_counter_is_refused() {
+        Tlb::new(u16::MAX as usize + 1);
     }
 
     fn pte(n: u32) -> Pte {

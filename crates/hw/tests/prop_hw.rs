@@ -100,6 +100,7 @@ proptest! {
                 }
             };
             prop_assert_eq!(via_tlb.0, pt.lookup(Vpn(vpn)).0);
+            prop_assert_eq!(tlb.check_filter(), Ok(()));
         }
     }
 

@@ -268,8 +268,11 @@ impl PageChannel {
                 backoff: ck.config.shed_backoff,
             });
         }
-        self.seq = self.seq.wrapping_add(1);
-        write_frame(mpm, self.frame, self.seq, data)?;
+        // The sequence number advances only once the message is on its
+        // way: a refused transfer sent nothing, and the next message that
+        // is delivered must not skip a number.
+        let seq = self.seq.wrapping_add(1);
+        write_frame(mpm, self.frame, seq, data)?;
         let outcome = ck.transfer_mapping(
             self.kernel,
             self.sender_space,
@@ -280,6 +283,7 @@ impl PageChannel {
             Some(self.receiver_thread),
             mpm,
         )?;
+        self.seq = seq;
         self.sent += 1;
         match outcome {
             TransferOutcome::Remapped => {
@@ -297,7 +301,7 @@ impl PageChannel {
                 let copy = copy_cycles(mpm, CHAN_HDR as usize + data.len());
                 mpm.clock.charge(copy);
                 mpm.cpus[cpu].consume(copy);
-                write_frame(mpm, self.fallback, self.seq, data)?;
+                write_frame(mpm, self.fallback, seq, data)?;
                 self.last_published = self.fallback;
                 self.copies += 1;
                 Ok(ck.raise_signal(mpm, cpu, self.fallback))
@@ -499,6 +503,51 @@ mod tests {
         chan.send(&mut ck, &mut mpm, 0, b"again").unwrap();
         assert_eq!(chan.read(&mpm).unwrap().1, b"again");
         assert_eq!(chan.remaps, 2);
+    }
+
+    /// A send the Cache Kernel refuses sent nothing, so it must leave the
+    /// channel as it found it: the next message delivered is `seq + 1`.
+    #[test]
+    fn refused_page_send_does_not_advance_the_sequence() {
+        let (mut ck, mut mpm, srm, tx_sp, rx_sp, rx, mut chan) = page_setup();
+        chan.send(&mut ck, &mut mpm, 0, b"first").unwrap();
+        chan.complete(&mut ck, &mut mpm).unwrap();
+        assert_eq!(ck.take_signal(rx.slot), Some(Vaddr(0xb000)));
+
+        // Point the channel at a destination space of another kernel:
+        // the load half of the transfer is refused.
+        let other = ck
+            .load_kernel(
+                srm,
+                KernelDesc {
+                    memory_access: MemoryAccessArray::all(),
+                    ..KernelDesc::default()
+                },
+                &mut mpm,
+            )
+            .unwrap();
+        let foreign = ck
+            .load_space(other, SpaceDesc::default(), &mut mpm)
+            .unwrap();
+        chan.receiver_space = foreign;
+        let state = |c: &PageChannel| (c.seq(), c.sent, c.remaps, c.copies, c.at_receiver());
+        let before = state(&chan);
+        assert_eq!(before, (1, 1, 1, 0, false));
+        let refused = chan.send(&mut ck, &mut mpm, 0, b"never sent");
+        assert_eq!(refused, Err(CkError::NotOwner(foreign)));
+        assert_eq!(state(&chan), before);
+        assert_eq!(ck.take_signal(rx.slot), None);
+        // The sender still holds its page.
+        assert_eq!(
+            ck.query_mapping(srm, tx_sp, Vaddr(0xa000)).unwrap().paddr,
+            chan.frame
+        );
+
+        chan.receiver_space = rx_sp;
+        chan.send(&mut ck, &mut mpm, 0, b"second").unwrap();
+        assert_eq!(state(&chan), (2, 2, 2, 0, true));
+        assert_eq!(chan.read(&mpm).unwrap(), (2, b"second".to_vec()));
+        ck.check_invariants().unwrap();
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Batched/eager signal delivery equivalence property test.
 //!
-//! `CacheKernel::finish_signal_batch` promises delivery that is
-//! observably identical to raising each signal eagerly: every receiving
-//! thread's queue ends with the same signals in the same order, the same
-//! threads are woken, and the same signals are dropped at a configured
-//! queue bound — only the charged cycles and the fast/slow counter split
-//! differ (one two-stage lookup per *unique page* instead of per raise).
-//! This test pins that equivalence over random signal storms: random
-//! watcher topologies (0–several threads per page), random raise
-//! sequences with sub-page offsets, random initial wait states, and an
-//! occasional tight queue bound.
+//! `CacheKernel::finish_signal_batch` promises the delivery of raising
+//! each signal eagerly: every receiving thread's queue ends with the same
+//! signals in the same order, the same threads are woken, and the same
+//! signals are dropped at a configured queue bound. Two things differ:
+//! the charged cycles with the fast/slow counter split (one two-stage
+//! lookup per *unique page* instead of per raise), and the order in which
+//! the woken threads enter the ready queue — eager raises enqueue a thread
+//! at its first delivery, a batch enqueues its wakeups in ascending slot
+//! order, so within one priority the scheduler dispatches them by slot.
+//! This test pins the equivalence and that order over random signal
+//! storms: random watcher topologies (0–several threads per page), random
+//! raise sequences with sub-page offsets, random initial wait states and
+//! priorities, an occasional tight queue bound, and one storm large enough
+//! that a quadratic regroup would show.
 
 use proptest::prelude::*;
+use std::cmp::Reverse;
 use vpp::cache_kernel::{
-    CacheKernel, CkConfig, KernelDesc, MemoryAccessArray, ObjId, SpaceDesc, ThreadDesc,
+    CacheKernel, CkConfig, KernelDesc, MemoryAccessArray, ObjId, Priority, SpaceDesc, ThreadDesc,
 };
 use vpp::hw::{MachineConfig, Mpm, Paddr, Pte, Vaddr, PAGE_SIZE};
 
@@ -33,7 +38,6 @@ const WATCH_BASE: u32 = 0x10_0000;
 
 #[derive(Debug)]
 struct Scenario {
-    threads: usize,
     /// Per page: which threads watch it (map it in message mode).
     watchers: Vec<Vec<usize>>,
     /// Per thread: starts blocked in `WaitSignal`.
@@ -42,40 +46,56 @@ struct Scenario {
     raises: Vec<(usize, u32)>,
     /// `signal_queue_bound` for both kernels (0 = unbounded).
     bound: usize,
+    /// Per thread: its priority, one of two levels.
+    priorities: Vec<Priority>,
 }
 
 fn scenario_from_seed(seed: u64) -> Scenario {
     let mut rng = seed;
     let threads = 2 + (mix(&mut rng) % 5) as usize;
     let pages = 1 + (mix(&mut rng) % 5) as usize;
+    storm(&mut rng, threads, pages, None, None)
+}
+
+/// Draw a storm over `threads` × `pages`; the raise count and the queue
+/// bound are drawn too (0–40 raises, a bound of 1–4 one time in four)
+/// unless given.
+fn storm(
+    rng: &mut u64,
+    threads: usize,
+    pages: usize,
+    n_raises: Option<usize>,
+    bound: Option<usize>,
+) -> Scenario {
     let watchers = (0..pages)
         .map(|_| {
             (0..threads)
-                .filter(|_| !mix(&mut rng).is_multiple_of(3))
+                .filter(|_| !mix(rng).is_multiple_of(3))
                 .collect::<Vec<_>>()
         })
         .collect();
-    let waiting = (0..threads)
-        .map(|_| mix(&mut rng).is_multiple_of(2))
-        .collect();
-    let n_raises = (mix(&mut rng) % 41) as usize;
+    let waiting = (0..threads).map(|_| mix(rng).is_multiple_of(2)).collect();
+    let n_raises = n_raises.unwrap_or_else(|| (mix(rng) % 41) as usize);
     let raises = (0..n_raises)
         .map(|_| {
-            let page = (mix(&mut rng) % pages as u64) as usize;
-            let offset = ((mix(&mut rng) % (PAGE_SIZE as u64 / 4)) * 4) as u32;
+            let page = (mix(rng) % pages as u64) as usize;
+            let offset = ((mix(rng) % (PAGE_SIZE as u64 / 4)) * 4) as u32;
             (page, offset)
         })
         .collect();
-    let bound = match mix(&mut rng) % 4 {
-        0 => 1 + (mix(&mut rng) % 4) as usize,
+    let bound = bound.unwrap_or_else(|| match mix(rng) % 4 {
+        0 => 1 + (mix(rng) % 4) as usize,
         _ => 0,
-    };
+    });
+    let priorities = (0..threads)
+        .map(|_| 10 + 2 * (mix(rng) % 2) as Priority)
+        .collect();
     Scenario {
-        threads,
         watchers,
         waiting,
         raises,
         bound,
+        priorities,
     }
 }
 
@@ -101,12 +121,12 @@ fn build(s: &Scenario) -> (CacheKernel, Mpm, Vec<ObjId>) {
     });
     let mut threads = Vec::new();
     let mut spaces = Vec::new();
-    for _ in 0..s.threads {
+    for &priority in &s.priorities {
         let space = ck
             .load_space(kernel, SpaceDesc::default(), &mut mpm)
             .expect("load space");
         let t = ck
-            .load_thread(kernel, ThreadDesc::new(space, 1, 10), false, &mut mpm)
+            .load_thread(kernel, ThreadDesc::new(space, 1, priority), false, &mut mpm)
             .expect("load thread");
         spaces.push(space);
         threads.push(t);
@@ -142,9 +162,12 @@ struct Observed {
     /// Threads the storm made runnable.
     ready: usize,
     dropped: u64,
+    /// The threads the storm woke as `(priority, slot)`, in the order the
+    /// scheduler dispatches them.
+    dispatch: Vec<(Priority, u16)>,
 }
 
-fn observe(ck: &mut CacheKernel, threads: &[ObjId]) -> Observed {
+fn observe(ck: &mut CacheKernel, threads: &[ObjId], s: &Scenario) -> Observed {
     let queues = threads
         .iter()
         .map(|t| {
@@ -155,34 +178,55 @@ fn observe(ck: &mut CacheKernel, threads: &[ObjId]) -> Observed {
             q
         })
         .collect();
+    let ready = ck.sched.ready_count();
+    // Threads that never waited sit in the ready queue since their load.
+    let woken = |slot| {
+        let thread = threads.iter().position(|t| t.slot == slot);
+        thread.is_some_and(|i| s.waiting[i])
+    };
+    let dispatch = std::iter::from_fn(|| ck.sched.pick(0))
+        .filter(|p| woken(p.slot))
+        .map(|p| (p.priority, p.slot))
+        .collect();
     Observed {
         queues,
-        ready: ck.sched.ready_count(),
+        ready,
         dropped: ck.stats.signals_dropped,
+        dispatch,
     }
 }
 
 fn check_seed(seed: u64) {
-    let s = scenario_from_seed(seed);
+    check(&scenario_from_seed(seed), seed);
+}
 
+fn check(s: &Scenario, seed: u64) -> Observed {
     // Eager: one raise_signal call per storm entry.
-    let (mut eager, mut empm, threads) = build(&s);
+    let (mut eager, mut empm, threads) = build(s);
     for &(page, offset) in &s.raises {
         eager.raise_signal(&mut empm, 0, Paddr(page_paddr(page).0 + offset));
     }
 
     // Batched: the whole storm through one batch.
-    let (mut batched, mut bmpm, bthreads) = build(&s);
+    let (mut batched, mut bmpm, bthreads) = build(s);
     let mut batch = batched.take_signal_batch();
     for &(page, offset) in &s.raises {
         batch.add(Paddr(page_paddr(page).0 + offset));
     }
     batched.finish_signal_batch(batch, &mut bmpm, 0);
 
+    // Wake order is the one designed difference: a batch of two or more
+    // wakes by ascending slot, so its dispatch order is the eager one
+    // sorted by slot within each priority. Everything else is equal.
+    let mut want = observe(&mut eager, &threads, s);
+    let got = observe(&mut batched, &bthreads, s);
+    if s.raises.len() >= 2 {
+        want.dispatch
+            .sort_by_key(|&(priority, slot)| (Reverse(priority), slot));
+    }
     assert_eq!(
-        observe(&mut eager, &threads),
-        observe(&mut batched, &bthreads),
-        "batched delivery must be observably identical to eager for seed {seed}: {s:?}"
+        want, got,
+        "batched delivery must match eager (wakes by slot) for seed {seed}: {s:?}"
     );
 
     // Counter balance. Eager ticks fast or slow once per raise that
@@ -213,6 +257,7 @@ fn check_seed(seed: u64) {
         assert_eq!(batched.stats.signals_fast, eager.stats.signals_fast);
         assert_eq!(batched.stats.signals_slow, eager.stats.signals_slow);
     }
+    got
 }
 
 proptest! {
@@ -222,6 +267,20 @@ proptest! {
     fn batched_matches_eager(seed in any::<u64>()) {
         check_seed(seed);
     }
+}
+
+/// A storm far past the 16-raise inputs above — 640 raises over 24 pages
+/// into 40 threads, every queue bounded at 3 — so a regroup that is
+/// quadratic in the raises, or drops that depend on delivery order across
+/// threads, cannot hide behind small batches.
+#[test]
+fn large_storm_matches_eager() {
+    let mut rng = 0x5707_1a56_e000_0001;
+    let s = storm(&mut rng, 40, 24, Some(640), Some(3));
+    let got = check(&s, 0);
+    assert!(got.queues.iter().filter(|q| !q.is_empty()).count() >= 32);
+    assert!(got.dropped > 1_000, "the bound must bite: {}", got.dropped);
+    assert!(got.dispatch.len() >= 12, "{:?}", got.dispatch);
 }
 
 // Pinned seeds, gated in scripts/check.sh: deterministic regression

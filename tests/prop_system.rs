@@ -255,7 +255,7 @@ proptest! {
         let mut h = Harness::new();
         for op in &ops {
             h.apply(op);
-            if let Err(e) = h.ck.check_invariants() {
+            if let Err(e) = h.ck.check_invariants().and(h.ck.check_visibility(&h.mpm)) {
                 panic!("invariant violated after {op:?}: {e}");
             }
         }

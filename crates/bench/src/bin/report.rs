@@ -251,6 +251,25 @@ fn jobj(fields: &[(&str, String)]) -> String {
     format!("{{{body}}}")
 }
 
+/// Where a wall-clock artifact was captured — core count, compiler and
+/// commit — as (key, JSON value) pairs: a threaded number means nothing
+/// without the first, and cannot be reproduced without the other two.
+fn host_stamp() -> Vec<(&'static str, String)> {
+    let run = |cmd: &str, args: &[&str]| {
+        let out = std::process::Command::new(cmd).args(args).output().ok();
+        let line = out
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+        format!("\"{}\"", line.unwrap_or_else(|| "unknown".into()))
+    };
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    vec![
+        ("nproc", nproc.to_string()),
+        ("rustc", run("rustc", &["--version"])),
+        ("commit", run("git", &["describe", "--always", "--dirty"])),
+    ]
+}
+
 /// The pinned seeds `scripts/check.sh` replays for the messaging
 /// properties; recorded in every artifact so a number can be traced to
 /// the exact gated scenario set.
@@ -2926,7 +2945,12 @@ fn throughput() {
     println!("and exits (a writeback descriptor shipped to shard 0).\n");
 
     let jobs_per_shard = 512usize;
-    println!("jobs/shard = {jobs_per_shard}, pages/job = 4, ring capacity = 256\n");
+    println!("jobs/shard = {jobs_per_shard}, pages/job = 4, ring capacity = 256");
+    let stamp = host_stamp();
+    for (key, value) in &stamp {
+        println!("{key} = {value}");
+    }
+    println!();
     println!("| shards | mode | wall ms | KernelEvents | Mev/s | msgs | rings_full | steals |");
     println!("|-------:|:-----|--------:|-------------:|------:|-----:|-----------:|-------:|");
     let mut threaded16 = 0.0f64;
@@ -3009,15 +3033,14 @@ fn throughput() {
     println!(
         "16-CPU free-running machine: {threaded16:.2} M KernelEvents/sec (target ≥ 1 M ev/s).\n"
     );
-    write_json(
-        "throughput",
-        &[
-            ("jobs_per_shard", jobs_per_shard.to_string()),
-            ("rows", jarr(rows)),
-            ("threaded16_mev_per_s", jf(threaded16)),
-            ("pinned_seeds", pinned_seeds()),
-        ],
-    );
+    let mut fields = stamp;
+    fields.extend([
+        ("jobs_per_shard", jobs_per_shard.to_string()),
+        ("rows", jarr(rows)),
+        ("threaded16_mev_per_s", jf(threaded16)),
+        ("pinned_seeds", pinned_seeds()),
+    ]);
+    write_json("throughput", &fields);
 }
 
 // ---------------------------------------------------------------------

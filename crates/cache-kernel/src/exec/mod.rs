@@ -449,25 +449,25 @@ impl Executive {
             ShardMsg::Packet(pkt) => self.deliver_packet(pkt),
             ShardMsg::Shootdown(rs) => {
                 self.ck.stats.remote_shootdowns += 1;
-                self.mpm.flush_pages_all_cpus(&rs.pages);
-                self.mpm.flush_asids_all_cpus(&rs.asids);
+                self.mpm.flush_pages_all_cpus(rs.pages());
+                self.mpm.flush_asids_all_cpus(rs.asids());
                 if rs.rtlb_clear {
                     self.mpm.rtlb_clear_all_cpus();
                 } else {
-                    self.mpm.rtlb_invalidate_many(&rs.frames);
+                    self.mpm.rtlb_invalidate_many(rs.frames());
                 }
-                self.mpm.rtlb_invalidate_threads_all_cpus(&rs.threads);
+                self.mpm.rtlb_invalidate_threads_all_cpus(rs.threads());
                 // The remote half of the round is a kernel event on
                 // this CPU, symmetric with the issuing side's local
                 // Shootdown event (same tracepoint-style gate).
                 if self.ck.shootdown_events {
                     self.ck.emit(crate::KernelEvent::Shootdown {
-                        pages: rs.pages.len() as u32,
-                        frames: rs.frames.len() as u32,
-                        asids: rs.asids.len() as u32,
+                        pages: rs.pages().len() as u32,
+                        frames: rs.frames().len() as u32,
+                        asids: rs.asids().len() as u32,
                     });
                 } else {
-                    self.ck.stats.note_shootdown_round(rs.pages.len() as u64);
+                    self.ck.stats.note_shootdown_round(rs.pages().len() as u64);
                 }
             }
             ShardMsg::Signal { paddr } => {

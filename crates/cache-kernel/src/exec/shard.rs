@@ -24,8 +24,9 @@
 //!   OS thread; rings carry the messages; quiescence is detected from
 //!   the shared in-flight count (incremented strictly before a message
 //!   becomes visible, decremented strictly after it is fully
-//!   processed), so the machine can never report idle while a
-//!   shootdown round is still in flight.
+//!   processed — once per pass over the rings, not once per message, so
+//!   in between the count is merely conservative), so the machine can
+//!   never report idle while a shootdown round is still in flight.
 //!
 //! Backpressure, never loss: a send that finds its ring full counts
 //! `rings_full` and stays queued on the sender; it is retried until it
@@ -187,31 +188,67 @@ impl RingMesh {
     }
 }
 
+/// One pass's in-flight accounting — messages queued (+) or popped (−)
+/// — applied to the shared count in a single RMW when it drops. On
+/// unwind too, so a handler that panics mid-pass can neither leave
+/// popped messages counted (the run would wait out the watchdog) nor
+/// queued ones uncounted. The caller places the drop: after the last
+/// handler returns, before `flush_egress`.
+struct InFlightPass<'a> {
+    total: &'a AtomicU64,
+    delta: i64,
+}
+
+impl Drop for InFlightPass<'_> {
+    fn drop(&mut self) {
+        if self.delta != 0 {
+            // Two's complement: adding a wrapped negative subtracts.
+            self.total.fetch_add(self.delta as u64, Ordering::SeqCst);
+        }
+    }
+}
+
+/// One shard's coordination cells, on a cache line of their own: only
+/// its worker writes them, and flipping one must not invalidate the
+/// line its peers poll.
+#[derive(Default)]
+#[repr(align(64))]
+struct ShardFlags {
+    /// The shard has nothing to do right now (may wake again).
+    idle: AtomicBool,
+    /// The shard has exhausted its quantum budget.
+    done: AtomicBool,
+}
+
 /// Coordination flags shared with the worker threads of one
 /// free-running run. Scoped threads borrow it; nothing escapes the run.
 struct RunFlags {
-    /// Shard i has nothing to do right now (may wake again).
-    idle: Vec<AtomicBool>,
-    /// Shard i has exhausted its quantum budget.
-    done: Vec<AtomicBool>,
-    /// Shard i's worker panicked (shard will be halted after the join).
-    panicked: Vec<AtomicBool>,
+    shard: Vec<ShardFlags>,
     /// Coordinator verdict: everyone go home.
     stop: AtomicBool,
+    /// The (parked) coordinator: the thread that built the flags.
+    coordinator: std::thread::Thread,
 }
 
 impl RunFlags {
     fn new(n: usize) -> Self {
         RunFlags {
-            idle: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            done: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            panicked: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            shard: (0..n).map(|_| ShardFlags::default()).collect(),
             stop: AtomicBool::new(false),
+            coordinator: std::thread::current(),
         }
     }
 
-    fn settled(&self, n: usize) -> bool {
-        (0..n).all(|i| self.idle[i].load(Ordering::SeqCst) || self.done[i].load(Ordering::SeqCst))
+    fn settled(&self) -> bool {
+        let set = |flag: &AtomicBool| flag.load(Ordering::SeqCst);
+        self.shard.iter().all(|f| set(&f.idle) || set(&f.done))
+    }
+
+    /// Publish a shard's idle or done flag and wake the coordinator:
+    /// either may be the store that settles the machine.
+    fn settle(&self, flag: &AtomicBool) {
+        flag.store(true, Ordering::SeqCst);
+        self.coordinator.unpark();
     }
 }
 
@@ -516,44 +553,11 @@ impl Machine {
                 collect_exports(node, port, &mesh.in_flight, steal, n);
                 flush_egress(node, port);
             }
-            for dst in 0..n {
-                for src in 0..n {
-                    if src == dst {
-                        continue;
-                    }
-                    let Some(rx) = mesh.ports[dst].rx[src].as_ref() else {
-                        continue;
-                    };
-                    // Halted shards still drain their rings (a dead CPU
-                    // cannot wedge its senders) but drop the messages.
-                    let halted = self.nodes[dst].mpm.halted;
-                    while let Some(msg) = rx.pop() {
-                        if !halted {
-                            self.nodes[dst].process_shard_msg(msg);
-                        }
-                        mesh.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-                // The signal fan-out ring drains after the SPSC rings,
-                // delivered as one batched sweep. Producers pushed in
-                // index order under the lockstep schedule, so the sweep
-                // contents are deterministic.
-                let port = &mut mesh.ports[dst];
-                if let Some(rx) = port.sig_rx.as_ref() {
-                    let mut sweep = core::mem::take(&mut port.sig_sweep);
-                    sweep.clear();
-                    while let Some(paddr) = rx.pop() {
-                        sweep.push(paddr);
-                    }
-                    if !sweep.is_empty() {
-                        if !self.nodes[dst].mpm.halted {
-                            self.nodes[dst].deliver_signal_sweep(&sweep);
-                        }
-                        mesh.in_flight
-                            .fetch_sub(sweep.len() as u64, Ordering::SeqCst);
-                    }
-                    port.sig_sweep = sweep;
-                }
+            // Deliver in fixed `(dst, src)` order. Producers pushed in
+            // index order under the lockstep schedule, so the contents
+            // of every ring and fan-out sweep are deterministic.
+            for (node, port) in self.nodes.iter_mut().zip(mesh.ports.iter_mut()) {
+                drain_rings(node, port, &mesh.in_flight, || {});
             }
             for (node, port) in self.nodes.iter_mut().zip(mesh.ports.iter_mut()) {
                 collect_exports(node, port, &mesh.in_flight, steal, n);
@@ -602,35 +606,27 @@ impl Machine {
                             Ok(q) => q,
                             Err(_) => {
                                 // The shard is lost but the machine is
-                                // not: flag it so the owner halts it
-                                // after the join, and unblock the
-                                // coordinator. Until the coordinator
-                                // calls the run, keep draining (and
-                                // dropping) this shard's receive rings —
-                                // a dead CPU must not wedge its senders
-                                // or hold the in-flight count above
-                                // zero forever.
-                                flags.panicked[i].store(true, Ordering::SeqCst);
-                                flags.idle[i].store(true, Ordering::SeqCst);
-                                flags.done[i].store(true, Ordering::SeqCst);
-                                drain_after_panic(port, flags, in_flight);
+                                // not: halt it, wake the coordinator,
+                                // and keep draining (and dropping) its
+                                // rings until the run is called — a
+                                // dead CPU must not wedge its senders or
+                                // pin the in-flight count.
+                                node.mpm.halt();
+                                node.ck.stats.threads_panicked += 1;
+                                flags.shard[i].idle.store(true, Ordering::SeqCst);
+                                flags.settle(&flags.shard[i].done);
+                                drain_after_panic(node, port, flags, in_flight);
                                 0
                             }
                         }
                     })
                 })
                 .collect();
-            coordinate(flags, in_flight, n, self.watchdog_secs);
+            coordinate(flags, in_flight, self.watchdog_secs);
             for h in handles {
                 used = used.max(h.join().unwrap_or(0));
             }
         });
-        for i in 0..n {
-            if flags.panicked[i].load(Ordering::SeqCst) {
-                self.nodes[i].mpm.halt();
-                self.nodes[i].ck.stats.threads_panicked += 1;
-            }
-        }
         used
     }
 }
@@ -642,27 +638,34 @@ impl Machine {
 /// yield so a shard caught mid-transition cannot slip through (a shard
 /// clears its idle flag *before* it processes a popped message, and the
 /// in-flight count covers the message until processing completes, so a
-/// stable double-read really is quiescence). A generous wall-clock
-/// watchdog bounds the run even if a worker misbehaves — the machine
-/// degrades, it never hangs.
-fn coordinate(flags: &RunFlags, in_flight: &AtomicU64, n: usize, watchdog_secs: u64) {
-    let start = std::time::Instant::now();
+/// stable double-read really is quiescence).
+///
+/// Between checks it parks: on a host with exactly as many cores as
+/// shards every coordinator wake-up preempts a shard, so it must wake
+/// only when the answer can have changed. The predicate turns true at
+/// an idle or done store (both unpark, see [`RunFlags::settle`]) or at
+/// an in-flight decrement to zero — made by a live worker whose own
+/// busy→idle transition follows, or by a panicked shard's drain, which
+/// unparks itself. An unpark that lands before the park is kept as a
+/// token, so none is lost. The park's timeout is the wall-clock
+/// watchdog that bounds the run even if a worker misbehaves — the
+/// machine degrades, it never hangs.
+fn coordinate(flags: &RunFlags, in_flight: &AtomicU64, watchdog_secs: u64) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(watchdog_secs);
     loop {
-        if flags.settled(n) && in_flight.load(Ordering::SeqCst) == 0 {
+        if flags.settled() && in_flight.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
-            if flags.settled(n) && in_flight.load(Ordering::SeqCst) == 0 {
-                flags.stop.store(true, Ordering::SeqCst);
-                return;
+            if flags.settled() && in_flight.load(Ordering::SeqCst) == 0 {
+                break;
             }
         }
-        if start.elapsed().as_secs() >= watchdog_secs {
-            flags.stop.store(true, Ordering::SeqCst);
-            return;
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        if left.is_zero() {
+            break;
         }
-        // Sleep-poll: the coordinator must not compete with the shard
-        // workers for cycles (the whole machine may share one core).
-        std::thread::sleep(std::time::Duration::from_micros(100));
+        std::thread::park_timeout(left);
     }
+    flags.stop.store(true, Ordering::SeqCst);
 }
 
 /// Quanta a busy worker runs between ring services: amortizes the
@@ -676,11 +679,15 @@ const RUN_BURST: usize = 8;
 ///
 /// * the idle flag is cleared *before* a popped message is processed
 ///   and before a quantum runs;
-/// * a message's in-flight increment happens when it enters the egress
-///   queue (before it is ever visible to the receiver) and its
+/// * a message's in-flight increment happens before it can be pushed on
+///   a ring (so before it is ever visible to the receiver) and its
 ///   decrement strictly after `process_shard_msg` returns;
 /// * the idle flag is set only when nothing was processed, the shard
 ///   has no runnable work, and its egress queues are empty.
+///
+/// The worker mirrors its two flags in locals and touches the shared
+/// cells only when one changes: a busy shard's passes write nothing the
+/// coordinator or a peer reads.
 #[allow(clippy::too_many_arguments)]
 fn shard_worker(
     i: usize,
@@ -693,16 +700,23 @@ fn shard_worker(
     steal: bool,
     shards: usize,
 ) -> usize {
+    let mine = &flags.shard[i];
+    let (mut idle, mut done) = (false, false);
     let mut used = 0usize;
     loop {
         if flags.stop.load(Ordering::SeqCst) {
             break;
         }
-        let processed = drain_rings(i, node, port, flags, in_flight);
+        let mut wake = || {
+            if std::mem::take(&mut idle) {
+                mine.idle.store(false, Ordering::SeqCst);
+            }
+        };
+        let processed = drain_rings(node, port, in_flight, &mut wake);
         let budget_left = used < max_quanta && !node.mpm.halted;
         let should_run = budget_left && (!until_idle || processed > 0 || !node.idle());
         if should_run {
-            flags.idle[i].store(false, Ordering::SeqCst);
+            wake();
             // Run a burst: re-checking the rings after every single
             // quantum costs more than the quantum itself. Stop early if
             // the shard drains its own work.
@@ -719,16 +733,18 @@ fn shard_worker(
         }
         collect_exports(node, port, in_flight, steal, shards);
         let flushed_all = flush_egress(node, port);
-        if !budget_left {
-            flags.done[i].store(true, Ordering::SeqCst);
+        if !budget_left && !done {
+            done = true;
+            flags.settle(&mine.done);
         }
         if processed == 0 && !should_run {
             // No progress this pass. Only an empty egress queue counts
             // as idle (queued messages are in-flight work), but either
             // way surrender the CPU: spinning here starves the very
             // peer whose full ring we are waiting on.
-            if port.egress_empty() {
-                flags.idle[i].store(true, Ordering::SeqCst);
+            if !idle && port.egress_empty() {
+                idle = true;
+                flags.settle(&mine.idle);
             }
             std::thread::yield_now();
         } else if !flushed_all {
@@ -740,102 +756,92 @@ fn shard_worker(
     used
 }
 
-/// Post-panic containment: the worker's state may be arbitrary, but the
-/// port is intact (the panic propagated out of `shard_worker`, ending
-/// its borrows). Undo the in-flight charges of anything still queued
-/// for egress (it will never be sent), then keep draining and dropping
-/// the receive rings until the coordinator stops the run, so peers
-/// pushing to this shard never see a permanently full ring and the
-/// in-flight count can reach zero.
-fn drain_after_panic(port: &mut ShardPort, flags: &RunFlags, in_flight: &AtomicU64) {
+/// Post-panic containment: the shard's state may be arbitrary, but it
+/// is halted and the port is intact (the panic propagated out of
+/// `shard_worker`, ending its borrows). Undo the in-flight charges of
+/// anything still queued for egress (it will never be sent), then keep
+/// draining and dropping the receive rings until the coordinator stops
+/// the run, so peers pushing to this shard never see a permanently full
+/// ring and the in-flight count can reach zero. Any decrement here may
+/// be the one that settles the machine, and no live worker's idle
+/// transition follows it: wake the coordinator after each.
+fn drain_after_panic(
+    node: &mut Executive,
+    port: &mut ShardPort,
+    flags: &RunFlags,
+    in_flight: &AtomicU64,
+) {
+    let mut unsent = 0;
     for q in port.egress.iter_mut() {
-        while q.pop_front().is_some() {
-            in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
+        unsent += q.drain(..).count();
     }
     for q in port.sig_egress.iter_mut() {
-        while q.pop_front().is_some() {
-            in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
+        unsent += q.drain(..).count();
     }
+    in_flight.fetch_sub(unsent as u64, Ordering::SeqCst);
+    flags.coordinator.unpark();
     while !flags.stop.load(Ordering::SeqCst) {
-        let mut drained = 0usize;
-        for src in 0..port.rx.len() {
-            let Some(rx) = port.rx[src].as_ref() else {
-                continue;
-            };
-            while rx.pop().is_some() {
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                drained += 1;
-            }
-        }
-        if let Some(rx) = port.sig_rx.as_ref() {
-            while rx.pop().is_some() {
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                drained += 1;
-            }
-        }
-        if drained == 0 {
+        if drain_rings(node, port, in_flight, || {}) > 0 {
+            flags.coordinator.unpark();
+        } else {
             std::thread::sleep(std::time::Duration::from_micros(100));
         }
     }
 }
 
 /// Pop and process every message currently queued on `node`'s receive
-/// rings. Clears the idle flag before processing (see the worker-loop
-/// invariants); decrements the in-flight count only after processing.
+/// rings, then its signal fan-out ring. `wake` runs before each message
+/// is processed (the free-running worker clears its idle flag there, see
+/// the worker-loop invariants; lockstep has none). The in-flight count
+/// drops once, by everything popped, when the pass ends — after the
+/// last handler returned, or on its unwind. A halted shard still drains
+/// (a dead CPU cannot wedge its senders) but drops the messages.
 fn drain_rings(
-    i: usize,
     node: &mut Executive,
     port: &mut ShardPort,
-    flags: &RunFlags,
     in_flight: &AtomicU64,
+    mut wake: impl FnMut(),
 ) -> usize {
-    let mut processed = 0usize;
-    let halted = node.mpm.halted;
-    for src in 0..port.rx.len() {
-        let Some(rx) = port.rx[src].as_ref() else {
-            continue;
-        };
+    let mut pass = InFlightPass {
+        total: in_flight,
+        delta: 0,
+    };
+    for rx in port.rx.iter().flatten() {
+        let halted = node.mpm.halted;
         while let Some(msg) = rx.pop() {
-            flags.idle[i].store(false, Ordering::SeqCst);
+            pass.delta -= 1;
+            wake();
             if !halted {
                 node.process_shard_msg(msg);
             }
-            in_flight.fetch_sub(1, Ordering::SeqCst);
-            processed += 1;
         }
     }
     // Drain the signal fan-out ring into one sweep and deliver it as a
-    // batch: N shipped signals cost one wakeup pass, not N. The
-    // in-flight decrement happens only after the sweep is processed, so
-    // quiescence still covers every shipped signal end to end.
+    // batch: N shipped signals cost one wakeup pass, not N.
     if let Some(rx) = port.sig_rx.as_ref() {
-        let mut sweep = core::mem::take(&mut port.sig_sweep);
+        let sweep = &mut port.sig_sweep;
         sweep.clear();
         while let Some(paddr) = rx.pop() {
             sweep.push(paddr);
         }
         if !sweep.is_empty() {
-            flags.idle[i].store(false, Ordering::SeqCst);
-            if !halted {
-                node.deliver_signal_sweep(&sweep);
+            pass.delta -= sweep.len() as i64;
+            wake();
+            if !node.mpm.halted {
+                node.deliver_signal_sweep(sweep);
             }
-            in_flight.fetch_sub(sweep.len() as u64, Ordering::SeqCst);
-            processed += sweep.len();
         }
-        port.sig_sweep = sweep;
     }
-    processed
+    pass.delta.unsigned_abs() as usize
 }
 
 /// Move the executive's pending cross-shard traffic into the port's
 /// egress queues: Cache-Kernel exports (shootdown broadcasts, steal
 /// protocol, anything an application kernel queued through its `Env`)
 /// and outbox packets bound for other shards. Also lets an idle shard
-/// ask a peer for work. Each queued message counts into the shared
-/// in-flight total immediately, so quiescence detection sees it from
-/// the instant it exists.
+/// ask a peer for work. Everything queued here counts into the shared
+/// in-flight total in one add when the function returns — before the
+/// caller's `flush_egress` can make any of it visible to a receiver.
 fn collect_exports(
     node: &mut Executive,
     port: &mut ShardPort,
@@ -844,6 +850,10 @@ fn collect_exports(
     shards: usize,
 ) {
     let me = node.node();
+    let mut pass = InFlightPass {
+        total: in_flight,
+        delta: 0,
+    };
     if steal && !node.mpm.halted {
         node.maybe_request_steal(shards);
     }
@@ -864,34 +874,36 @@ fn collect_exports(
                 if let ShardMsg::Writeback(_) = &export.msg {
                     node.ck.stats.wb_shipped += 1;
                 }
-                in_flight.fetch_add(1, Ordering::SeqCst);
+                pass.delta += 1;
                 port.egress[dst].push_back(export.msg);
             }
-            ShardDst::All => match &export.msg {
+            ShardDst::All => match export.msg {
                 ShardMsg::Shootdown(rs) => {
-                    for dst in 0..shards {
-                        if dst == me {
-                            continue;
-                        }
-                        in_flight.fetch_add(1, Ordering::SeqCst);
+                    // Every peer but the last gets a copy; the last
+                    // gets the original.
+                    let mut peers = (0..shards).filter(|&dst| dst != me);
+                    let last = peers.next_back();
+                    for dst in peers {
+                        pass.delta += 1;
                         port.egress[dst].push_back(ShardMsg::Shootdown(rs.clone()));
+                    }
+                    if let Some(dst) = last {
+                        pass.delta += 1;
+                        port.egress[dst].push_back(ShardMsg::Shootdown(rs));
                     }
                 }
                 ShardMsg::Signal { paddr } => {
                     // Broadcast signals ride the per-shard MPSC fan-out
                     // ring: one `Paddr` per peer, drained in one sweep.
-                    for dst in 0..shards {
-                        if dst == me {
-                            continue;
-                        }
-                        in_flight.fetch_add(1, Ordering::SeqCst);
-                        port.sig_egress[dst].push_back(*paddr);
+                    for dst in (0..shards).filter(|&dst| dst != me) {
+                        pass.delta += 1;
+                        port.sig_egress[dst].push_back(paddr);
                     }
                 }
                 // Jobs and writebacks are not broadcastable (they carry
                 // unique ownership); a broadcast of one is a caller bug
                 // handled by delivering it locally.
-                _ => node.process_shard_msg(export.msg),
+                msg => node.process_shard_msg(msg),
             },
         }
     }
@@ -900,7 +912,7 @@ fn collect_exports(
     // would refuse them.
     for pkt in node.outbox.extract_if(.., |pkt| pkt.dst != me) {
         if pkt.dst < shards {
-            in_flight.fetch_add(1, Ordering::SeqCst);
+            pass.delta += 1;
             port.egress[pkt.dst].push_back(ShardMsg::Packet(pkt));
         }
     }
@@ -909,39 +921,36 @@ fn collect_exports(
 /// Try to push every queued egress message onto its ring. A full ring
 /// counts `rings_full` once per deferred message per pass and leaves
 /// the message queued — backpressure, never loss, never panic.
+#[allow(clippy::result_large_err)] // a full ring hands the message back
 fn flush_egress(node: &mut Executive, port: &mut ShardPort) -> bool {
-    let mut all = true;
-    for dst in 0..port.egress.len() {
-        let Some(tx) = port.tx[dst].as_ref() else {
-            continue;
-        };
-        while let Some(msg) = port.egress[dst].pop_front() {
-            match tx.push(msg) {
-                Ok(()) => node.ck.stats.shard_msgs_sent += 1,
-                Err(msg) => {
-                    node.ck.stats.rings_full += 1;
-                    port.egress[dst].push_front(msg);
-                    all = false;
-                    break;
+    fn flush<T>(
+        queue: &mut VecDeque<T>,
+        push: impl Fn(T) -> Result<(), T>,
+        stats: &mut Counters,
+    ) -> bool {
+        while let Some(v) = queue.pop_front() {
+            match push(v) {
+                Ok(()) => stats.shard_msgs_sent += 1,
+                Err(v) => {
+                    stats.rings_full += 1;
+                    queue.push_front(v);
+                    return false;
                 }
             }
         }
+        true
     }
-    for dst in 0..port.sig_egress.len() {
-        let Some(tx) = port.sig_tx[dst].as_ref() else {
-            continue;
-        };
-        while let Some(paddr) = port.sig_egress[dst].pop_front() {
-            match tx.push(paddr) {
-                Ok(()) => node.ck.stats.shard_msgs_sent += 1,
-                Err(paddr) => {
-                    node.ck.stats.rings_full += 1;
-                    port.sig_egress[dst].push_front(paddr);
-                    all = false;
-                    break;
-                }
-            }
-        }
+    let stats = &mut node.ck.stats;
+    let mut all = true;
+    for (queue, tx) in port.egress.iter_mut().zip(&port.tx) {
+        all &= tx
+            .as_ref()
+            .is_none_or(|tx| flush(queue, |m| tx.push(m), stats));
+    }
+    for (queue, tx) in port.sig_egress.iter_mut().zip(&port.sig_tx) {
+        all &= tx
+            .as_ref()
+            .is_none_or(|tx| flush(queue, |p| tx.push(p), stats));
     }
     all
 }
@@ -998,7 +1007,29 @@ mod tests {
         }
     }
 
-    fn boot_shard(node: &mut Executive, steps: Vec<Step>, kernel: Box<dyn AppKernel>) {
+    /// Shard 1's kernel: the first packet panics the shard worker —
+    /// from inside `drain_rings`, with the message popped off its ring.
+    struct PacketBomb;
+
+    impl AppKernel for PacketBomb {
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn on_page_fault(&mut self, _e: &mut Env, _t: ObjId, _f: Fault) -> FaultDisposition {
+            FaultDisposition::Kill
+        }
+        fn on_trap(&mut self, _e: &mut Env, _t: ObjId, no: u32, _a: [u32; 4]) -> TrapDisposition {
+            TrapDisposition::Return(no)
+        }
+        fn on_packet(&mut self, _e: &mut Env, _src: usize, _channel: u32, _data: &[u8]) {
+            panic!("induced shard panic while draining");
+        }
+        fn name(&self) -> &str {
+            "packet-bomb"
+        }
+    }
+
+    fn boot_shard(node: &mut Executive, steps: Vec<Step>, kernel: Box<dyn AppKernel>) -> ObjId {
         let k = node.ck.boot(KernelDesc {
             memory_access: MemoryAccessArray::all(),
             ..KernelDesc::default()
@@ -1012,6 +1043,7 @@ mod tests {
             .load_thread(k, ThreadDesc::new(sp, pc, 10), false, &mut node.mpm)
             .unwrap();
         node.register_kernel(k, kernel);
+        k
     }
 
     /// A panicked free-running shard must not wedge the machine: its
@@ -1065,6 +1097,111 @@ mod tests {
         // The publisher ran to completion despite the dead peer.
         assert_eq!(c.thread_exits, 1);
         assert!(m.nodes[1].mpm.halted);
+    }
+
+    /// A handler that panics *inside* `drain_rings` unwinds past the
+    /// pass's in-flight decrement. The pass's drop guard must uncount
+    /// what was popped, or the count stays above zero forever and the
+    /// run ends only when the watchdog fires.
+    #[test]
+    fn panic_while_draining_does_not_wait_for_the_watchdog() {
+        const WATCHDOG_SECS: u64 = 20;
+        let mut m = Machine::sharded(ShardConfig {
+            shards: 2,
+            threads: true,
+            ring_capacity: 8,
+            steal: false,
+            watchdog_secs: WATCHDOG_SECS,
+            ..ShardConfig::default()
+        });
+        // Shard 0: a few broadcast bursts, then exit; and three packets
+        // for shard 1 waiting in the outbox, so the pass that panics has
+        // popped (or left queued) more than the one fatal message.
+        let mut steps = vec![
+            Step::Trap {
+                no: 1,
+                args: [4, 0, 0, 0],
+            };
+            4
+        ];
+        steps.push(Step::Exit(0));
+        boot_shard(&mut m.nodes[0], steps, Box::new(Caster));
+        for _ in 0..3 {
+            m.nodes[0].outbox.push(hw::Packet {
+                src: 0,
+                dst: 1,
+                channel: 5,
+                data: vec![0xEE],
+            });
+        }
+        // Shard 1: no thread of its own; dies on its first packet.
+        let k = boot_shard(&mut m.nodes[1], vec![Step::Exit(0)], Box::new(PacketBomb));
+        m.nodes[1].register_channel(5, k);
+
+        let start = std::time::Instant::now();
+        m.run_until_idle(10_000);
+        assert!(
+            start.elapsed().as_secs() < WATCHDOG_SECS / 2,
+            "a panic while draining leaked an in-flight count: the run waited for the watchdog"
+        );
+        assert_eq!(m.in_flight(), 0);
+        let c = m.counters();
+        assert_eq!(c.threads_panicked, 1);
+        assert!(m.nodes[1].mpm.halted);
+        // The sender's thread ran to completion despite the dead peer
+        // (shard 1's own thread may or may not have exited first).
+        assert!(m.nodes[0].ck.stats.thread_exits == 1);
+    }
+
+    /// A `ShardDst::All` shootdown reaches every peer with the payload
+    /// it was exported with — the copies and the moved original alike —
+    /// and counts once per destination.
+    #[test]
+    fn broadcast_round_delivers_equal_payloads_to_every_peer() {
+        use crate::shardmsg::RemoteShootdown;
+        let pages: Vec<_> = (0..300u32).map(|i| (7u16, hw::Vpn(0x100 + i))).collect();
+        let frames: Vec<_> = (0..9u32).map(hw::Pfn).collect();
+        for n_pages in [0usize, 4, 8, 9, 300] {
+            let mut m = Machine::sharded(ShardConfig {
+                shards: 4,
+                ..ShardConfig::default()
+            });
+            let rs = RemoteShootdown::new(&pages[..n_pages], &[7], &frames, &[3], false);
+            // Exported from shard 1, so the peers are 0, 2 and 3.
+            m.nodes[1].ck.shard_exports.push(ShardExport {
+                dst: ShardDst::All,
+                msg: ShardMsg::Shootdown(rs),
+            });
+            let mesh = m.mesh.as_mut().unwrap();
+            collect_exports(
+                &mut m.nodes[1],
+                &mut mesh.ports[1],
+                &mesh.in_flight,
+                false,
+                4,
+            );
+            assert_eq!(mesh.in_flight.load(Ordering::SeqCst), 3);
+            assert!(mesh.ports[1].egress[1].is_empty());
+            for dst in [0, 2, 3] {
+                let queue = &mesh.ports[1].egress[dst];
+                assert_eq!(queue.len(), 1);
+                let Some(ShardMsg::Shootdown(got)) = queue.front() else {
+                    panic!("shard {dst} was sent something else");
+                };
+                assert_eq!(got.pages(), &pages[..n_pages]);
+                assert_eq!(got.asids(), &[7]);
+                assert_eq!(got.frames(), &frames[..]);
+                assert_eq!(got.threads(), &[3]);
+                assert!(!got.rtlb_clear);
+            }
+            // Delivered, the round leaves nothing in flight.
+            flush_egress(&mut m.nodes[1], &mut mesh.ports[1]);
+            for (node, port) in m.nodes.iter_mut().zip(mesh.ports.iter_mut()) {
+                drain_rings(node, port, &mesh.in_flight, || {});
+            }
+            assert_eq!(m.in_flight(), 0);
+            assert_eq!(m.counters().remote_shootdowns, 3);
+        }
     }
 
     /// The quiescence watchdog is a config knob, not a 60-second

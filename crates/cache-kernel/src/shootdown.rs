@@ -201,19 +201,16 @@ impl CacheKernel {
         // eager single-page path stays shard-local so Table 2's
         // per-operation costs are untouched.
         if self.config.shard_fanout >= 2 {
+            let frames: &[Pfn] = if rtlb_all { &[] } else { &batch.frames };
             self.shard_exports.push(crate::shardmsg::ShardExport {
                 dst: crate::shardmsg::ShardDst::All,
-                msg: crate::shardmsg::ShardMsg::Shootdown(crate::shardmsg::RemoteShootdown {
-                    pages: batch.pages.clone(),
-                    asids: batch.asids.clone(),
-                    frames: if rtlb_all {
-                        Vec::new()
-                    } else {
-                        batch.frames.clone()
-                    },
-                    threads: batch.threads.clone(),
-                    rtlb_clear: rtlb_all,
-                }),
+                msg: crate::shardmsg::ShardMsg::Shootdown(crate::shardmsg::RemoteShootdown::new(
+                    &batch.pages,
+                    &batch.asids,
+                    frames,
+                    &batch.threads,
+                    rtlb_all,
+                )),
             });
         }
 

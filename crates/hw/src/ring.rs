@@ -10,10 +10,13 @@
 //! The implementation is the classic Lamport queue: a fixed slot array
 //! with monotonically increasing `head` (consumer) and `tail` (producer)
 //! indices. The producer owns `tail`, the consumer owns `head`; each
-//! side only ever *reads* the other's index. `push` on a full ring
-//! returns the value to the caller — the sharded machine counts the
-//! deferral (`rings_full`) and retries next quantum instead of blocking
-//! or panicking.
+//! side only ever *reads* the other's index — and rarely: the indices
+//! sit on separate cache lines, and each side keeps a shadow of the
+//! other's, refreshed only when the ring looks full (producer) or empty
+//! (consumer), so a burst touches the peer's line once. `push` on a
+//! full ring returns the value to the caller — the sharded machine
+//! counts the deferral (`rings_full`) and retries next quantum instead
+//! of blocking or panicking.
 //!
 //! Beside the SPSC pair lives [`mpsc`], a bounded multi-producer /
 //! single-consumer ring (per-slot sequence numbers, CAS-claimed tail)
@@ -29,27 +32,41 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// One side's cache line (the two sides never share one): the index it
+/// owns, and its shadow of the other side's index — written by the
+/// owner only, possibly stale, always conservative.
+#[derive(Default)]
+#[repr(align(64))]
+struct Side {
+    own: AtomicUsize,
+    peer_seen: AtomicUsize,
+}
+
 struct Shared<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    /// Next slot the consumer will read (monotonic; slot = head % cap).
-    head: AtomicUsize,
-    /// Next slot the producer will write (monotonic; slot = tail % cap).
-    tail: AtomicUsize,
+    /// `own` = head: next slot the consumer will read (monotonic; slot
+    /// = head % cap). `peer_seen` ≤ tail.
+    consumer: Side,
+    /// `own` = tail: next slot the producer will write (monotonic; slot
+    /// = tail % cap). `peer_seen` ≤ head.
+    producer: Side,
 }
 
 // SAFETY: the producer half writes a slot strictly before publishing it
 // with the release store on `tail`; the consumer half reads it strictly
 // after the acquire load observes that store (and vice versa for slot
-// reuse through `head`). Each index has exactly one writer, so the only
-// data that crosses threads is the slot payload, which is `Send`.
+// reuse through `head`). Each index has exactly one writer, and each
+// `peer_seen` shadow is read and written by its side's one thread only,
+// so the only data that crosses threads is the slot payload, which is
+// `Send`.
 unsafe impl<T: Send> Sync for Shared<T> {}
 unsafe impl<T: Send> Send for Shared<T> {}
 
 impl<T> Drop for Shared<T> {
     fn drop(&mut self) {
         // Sole owner at this point; drop whatever is still queued.
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Relaxed);
+        let head = self.consumer.own.load(Ordering::Relaxed);
+        let tail = self.producer.own.load(Ordering::Relaxed);
         for i in head..tail {
             let slot = &self.buf[i % self.buf.len()];
             // SAFETY: slots in [head, tail) were written and never read.
@@ -77,8 +94,8 @@ pub fn spsc<T: Send>(capacity: usize) -> (RingTx<T>, RingRx<T>) {
         .into_boxed_slice();
     let shared = Arc::new(Shared {
         buf,
-        head: AtomicUsize::new(0),
-        tail: AtomicUsize::new(0),
+        consumer: Side::default(),
+        producer: Side::default(),
     });
     (
         RingTx {
@@ -94,24 +111,28 @@ impl<T: Send> RingTx<T> {
     /// nothing is ever dropped or blocked on inside the ring itself.
     pub fn push(&self, v: T) -> Result<(), T> {
         let s = &*self.shared;
-        let tail = s.tail.load(Ordering::Relaxed); // sole writer
-        let head = s.head.load(Ordering::Acquire);
-        if tail - head == s.buf.len() {
-            return Err(v);
+        let me = &s.producer;
+        let tail = me.own.load(Ordering::Relaxed); // sole writer
+        if tail - me.peer_seen.load(Ordering::Relaxed) == s.buf.len() {
+            // Looks full: the shadow may be stale, look at the real head.
+            let head = s.consumer.own.load(Ordering::Acquire);
+            me.peer_seen.store(head, Ordering::Relaxed);
+            if tail - head == s.buf.len() {
+                return Err(v);
+            }
         }
         // SAFETY: slot `tail % cap` is outside [head, tail) so the
         // consumer does not touch it until the release store below.
         unsafe { (*s.buf[tail % s.buf.len()].get()).write(v) };
-        s.tail.store(tail + 1, Ordering::Release);
+        me.own.store(tail + 1, Ordering::Release);
         Ok(())
     }
 
-    /// Messages currently queued.
+    /// Messages currently queued (exact: reads the real indices).
     pub fn len(&self) -> usize {
         let s = &*self.shared;
-        s.tail
-            .load(Ordering::Relaxed)
-            .saturating_sub(s.head.load(Ordering::Acquire))
+        let tail = s.producer.own.load(Ordering::Relaxed);
+        tail.saturating_sub(s.consumer.own.load(Ordering::Acquire))
     }
 
     /// Whether the ring is empty.
@@ -129,24 +150,29 @@ impl<T: Send> RingRx<T> {
     /// Dequeue the oldest message, if any.
     pub fn pop(&self) -> Option<T> {
         let s = &*self.shared;
-        let head = s.head.load(Ordering::Relaxed); // sole writer
-        let tail = s.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
+        let me = &s.consumer;
+        let head = me.own.load(Ordering::Relaxed); // sole writer
+        if head == me.peer_seen.load(Ordering::Relaxed) {
+            // Looks empty: the shadow may be stale, look at the real tail.
+            let tail = s.producer.own.load(Ordering::Acquire);
+            me.peer_seen.store(tail, Ordering::Relaxed);
+            if head == tail {
+                return None;
+            }
         }
         // SAFETY: slot `head % cap` is inside [head, tail): written by
-        // the producer and published by the acquire load above.
+        // the producer and published by the acquire load that last
+        // refreshed the shadow.
         let v = unsafe { (*s.buf[head % s.buf.len()].get()).assume_init_read() };
-        s.head.store(head + 1, Ordering::Release);
+        me.own.store(head + 1, Ordering::Release);
         Some(v)
     }
 
-    /// Messages currently queued.
+    /// Messages currently queued (exact: reads the real indices).
     pub fn len(&self) -> usize {
         let s = &*self.shared;
-        s.tail
-            .load(Ordering::Acquire)
-            .saturating_sub(s.head.load(Ordering::Relaxed))
+        let tail = s.producer.own.load(Ordering::Acquire);
+        tail.saturating_sub(s.consumer.own.load(Ordering::Relaxed))
     }
 
     /// Whether the ring is empty.
@@ -391,24 +417,21 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::Relaxed), 2);
     }
 
-    #[test]
-    fn cross_thread_transfer_is_lossless_and_ordered() {
-        const N: u64 = 200_000;
-        let (tx, rx) = spsc::<u64>(64);
+    /// Push `0..n` from one thread and pop them on another, retrying on
+    /// a full or empty ring.
+    fn transfer_across_threads(capacity: usize, n: u64) {
+        let (tx, rx) = spsc::<u64>(capacity);
         let producer = std::thread::spawn(move || {
-            let mut backoff = 0u64;
-            for i in 0..N {
+            for i in 0..n {
                 let mut v = i;
                 while let Err(back) = tx.push(v) {
                     v = back;
-                    backoff += 1;
                     std::thread::yield_now();
                 }
             }
-            backoff
         });
         let mut expect = 0u64;
-        while expect < N {
+        while expect < n {
             if let Some(v) = rx.pop() {
                 assert_eq!(v, expect, "messages arrive in order, exactly once");
                 expect += 1;
@@ -418,6 +441,76 @@ mod tests {
         }
         producer.join().unwrap();
         assert!(rx.is_empty());
+    }
+
+    #[test]
+    fn cross_thread_transfer_is_lossless_and_ordered() {
+        transfer_across_threads(64, 200_000);
+    }
+
+    /// At capacity 2 nearly every push finds the ring looking full and
+    /// nearly every pop finds it looking empty: both index shadows are
+    /// refreshed, and trusted while stale, a million times over.
+    #[test]
+    fn cross_thread_transfer_at_capacity_two() {
+        transfer_across_threads(2, 1_000_000);
+    }
+
+    /// Each side's shadow of the other's index is only refreshed when
+    /// the ring looks full or empty, so at capacity 1 and 2 every wrap
+    /// leaves both shadows stale in both directions. FIFO order, the
+    /// full/empty verdicts and the exact `len()` from either end must
+    /// not notice.
+    #[test]
+    fn stale_index_shadows_stay_conservative_across_wraps() {
+        for cap in [1usize, 2] {
+            let (tx, rx) = spsc::<u32>(cap);
+            let (mut next_in, mut next_out) = (0u32, 0u32);
+            let check_len = |queued: u32| {
+                assert_eq!(tx.len(), queued as usize);
+                assert_eq!(rx.len(), queued as usize);
+                assert_eq!(tx.is_empty(), queued == 0);
+                assert_eq!(rx.is_empty(), queued == 0);
+            };
+            // ≥ 3 wraps of every fill level: push `fill`, pop `fill`.
+            for round in 0..4 * cap {
+                let fill = 1 + round % cap;
+                for _ in 0..fill {
+                    tx.push(next_in).unwrap();
+                    next_in += 1;
+                    check_len(next_in - next_out);
+                }
+                if fill == cap {
+                    assert_eq!(tx.push(99), Err(99), "full at capacity {cap}");
+                }
+                for _ in 0..fill {
+                    assert_eq!(rx.pop(), Some(next_out));
+                    next_out += 1;
+                    check_len(next_in - next_out);
+                }
+                assert_eq!(rx.pop(), None, "empty at capacity {cap}");
+            }
+            // Strictly interleaved at a part-full ring: the producer's
+            // shadow says full and the consumer's says empty on every
+            // single operation.
+            tx.push(next_in).unwrap();
+            next_in += 1;
+            for _ in 0..3 * cap {
+                if cap > 1 {
+                    tx.push(next_in).unwrap();
+                    next_in += 1;
+                }
+                assert_eq!(tx.push(99), Err(99));
+                assert_eq!(rx.pop(), Some(next_out));
+                next_out += 1;
+                if cap == 1 {
+                    assert_eq!(rx.pop(), None);
+                    tx.push(next_in).unwrap();
+                    next_in += 1;
+                }
+                check_len(next_in - next_out);
+            }
+        }
     }
 
     #[test]

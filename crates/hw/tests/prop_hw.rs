@@ -2,7 +2,10 @@
 //! against a model map, TLB/page-table coherence under the flush
 //! discipline, and physical-memory byte-accuracy.
 
-use hw::{Access, MachineConfig, Mpm, Paddr, PageTable, Pfn, Pte, Tlb, Vaddr, Vpn, PAGE_SIZE};
+use hw::{
+    Access, MachineConfig, Mpm, Paddr, PageTable, Pfn, Pte, Rtlb, RtlbEntry, Tlb, Vaddr, Vpn,
+    PAGE_SIZE,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -101,6 +104,45 @@ proptest! {
             };
             prop_assert_eq!(via_tlb.0, pt.lookup(Vpn(vpn)).0);
             prop_assert_eq!(tlb.check_filter(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn rtlb_live_count_matches_a_walk(
+        ops in proptest::collection::vec((0u8..5, 0u32..24, 0u32..4), 1..200),
+    ) {
+        // The live-entry count lets the bulk invalidations skip their
+        // scan; after every step it must equal a real walk, and the
+        // table must agree with a model map keyed by slot.
+        let mut r = Rtlb::new(8);
+        let mut model: HashMap<u32, (u32, u32)> = HashMap::new();
+        for (op, pfn, thread) in ops {
+            match op {
+                0 | 1 => {
+                    r.insert(Pfn(pfn), RtlbEntry { vaddr: Vaddr(pfn << 12), thread });
+                    model.insert(pfn % 8, (pfn, thread));
+                }
+                2 => {
+                    r.invalidate(Pfn(pfn));
+                    if model.get(&(pfn % 8)).is_some_and(|&(p, _)| p == pfn) {
+                        model.remove(&(pfn % 8));
+                    }
+                }
+                3 => {
+                    r.invalidate_thread(thread);
+                    model.retain(|_, &mut (_, t)| t != thread);
+                }
+                _ => {
+                    r.invalidate_all();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(r.len(), r.iter().count());
+            prop_assert_eq!(r.len(), model.len());
+            prop_assert_eq!(r.is_empty(), model.is_empty());
+            for (p, e) in r.iter() {
+                prop_assert_eq!(model.get(&(p.0 % 8)), Some(&(p.0, e.thread)));
+            }
         }
     }
 

@@ -404,4 +404,49 @@ mod tests {
         assert_eq!(lockstep, threaded);
         assert_eq!(lockstep.0, 32);
     }
+
+    /// The in-flight count moves once per pass over the rings, not once
+    /// per message, and the ring ends work from stale index shadows. At
+    /// two-slot rings every pass defers messages and every shadow goes
+    /// stale, so an accounting slip shows as a run that "settles" with
+    /// jobs still queued, or one that never settles. 200 back-to-back
+    /// runs each, on exactly two shards and oversubscribed on four.
+    #[test]
+    fn two_slot_rings_never_settle_early() {
+        for shards in [2usize, 4] {
+            let spec = ThroughputSpec {
+                shards,
+                jobs_per_shard: 12,
+                threads: true,
+                ring_capacity: 2,
+                ..ThroughputSpec::default()
+            };
+            for run in 0..200 {
+                let mut m = build(&spec);
+                assert_eq!(m.ring_capacity(), 2);
+                let used = m.run_until_idle(40_000);
+                let c = m.counters();
+                assert_eq!(
+                    c.thread_exits,
+                    spec.total_jobs(),
+                    "run {run} on {shards} shards stopped with jobs unfinished"
+                );
+                assert_eq!(completed(&mut m), spec.total_jobs());
+                assert_eq!(packets_seen(&mut m), spec.total_jobs());
+                assert_eq!(m.nodes[0].wb_archive.len() as u64, spec.total_jobs());
+                // Two rounds a job (window cleanup, thread exit), each
+                // delivered whole to every peer.
+                assert_eq!(
+                    c.remote_shootdowns,
+                    2 * spec.total_jobs() * (shards as u64 - 1)
+                );
+                assert_eq!(m.in_flight(), 0, "run {run} on {shards} shards");
+                // No run can be shorter than its work: the busiest
+                // shard ran at least its share of the jobs.
+                assert!(used as u64 >= spec.total_jobs() / shards as u64);
+                assert!(used < 40_000, "run {run} never settled");
+                assert_eq!(c.threads_panicked, 0);
+            }
+        }
+    }
 }

@@ -49,9 +49,10 @@ cargo run -q --release -p bench --bin report -- throughput > /dev/null
 echo "== signal batched/eager equivalence pinned seeds =="
 cargo test -q -p vpp --test prop_signal_batch pinned_signal_batch
 
-echo "== fan-out ring drain (lockstep + threaded + panic) =="
+echo "== fan-out ring drain (lockstep + threaded + panic, while running and while draining) =="
 cargo test -q -p workloads fanout::
 cargo test -q -p cache-kernel shard::tests::panicked_shard_drains_fanout_ring
+cargo test -q -p cache-kernel shard::tests::panic_while_draining_does_not_wait_for_the_watchdog
 
 echo "== adversarial pinned seeds (capability containment) =="
 cargo test -q -p vpp --test prop_chaos pinned_seed_adversarial
@@ -119,6 +120,37 @@ awk '
     }
   }' <<<"$out"
 
+echo "== shard scaling gate (same-run ratio: two free-running shards vs one) =="
+# The same mill, the same jobs, one process after the other on the same
+# host: two free-running shards on two cores must deliver at least 1.25x
+# the single lockstep shard (scripts/README.md).
+if (( $(nproc) >= 2 )); then
+  mill_ops() {
+    local out
+    out="$(ckbench --workload "$1" --seed 7 --reps 5 --trace 0 2>&1)"
+    if ! grep -q '^{"correct": true' <<<"$out"; then
+      echo "ckbench $1: the run was not correct" >&2
+      return 1
+    fi
+    awk '$1 == "host_ops_per_s" { print $2 }' <<<"$out"
+  }
+  one="$(mill_ops mill_1s)"
+  two="$(mill_ops mill_2t)"
+  awk -v one="$one" -v two="$two" 'BEGIN {
+    if (!(one > 0 && two > 0)) {
+      print "scaling gate: host_ops_per_s is missing from a run" > "/dev/stderr"
+      exit 1
+    }
+    printf "  mill_2t %.0f = %.2f x mill_1s %.0f jobs/s (floor 1.25)\n", two, two / one, one
+    if (two < 1.25 * one) {
+      print "scaling gate: the free-running shards lost their scaling" > "/dev/stderr"
+      exit 1
+    }
+  }'
+else
+  echo "  skipped: nproc = $(nproc), and two shard threads on one core measure the scheduler, not the rings"
+fi
+
 echo "== ckbench gate (benchmark unit tests, BENCHMARK.json contract, exact sim fingerprints) =="
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 diff -u BENCHMARK.json <(ckbench --contract)
@@ -148,6 +180,7 @@ if [[ "${TSAN:-0}" == "1" ]]; then
       cargo +nightly test -Z build-std --target "$host" -q "$@"
   }
   tsan -p hw ring::
+  tsan -p cache-kernel --lib shard::
   tsan -p workloads throughput::
   tsan -p vpp --test prop_threaded pinned_threaded_seed
 fi

@@ -16,10 +16,9 @@ use cache_kernel::{
 };
 use hw::{Fault, Mpm, Pte, Vaddr, PAGE_SIZE};
 use libkern::{
-    BackingStore, Fifo, FrameAllocator, Lru, Mru, Region, ReplacementPolicy, Segment,
+    BackingStore, Fifo, FrameAllocator, Lru, Mru, PageList, Region, ReplacementPolicy, Segment,
     SegmentManager,
 };
-use std::collections::VecDeque;
 
 /// Virtual base of the table heap in the server's space.
 pub const TABLE_BASE: Vaddr = Vaddr(0x2000_0000);
@@ -75,33 +74,29 @@ impl Policy {
 /// scans never get promoted and therefore cannot evict the hot set.
 #[derive(Default)]
 pub struct ScanResistant {
-    probation: VecDeque<Vaddr>,
-    protected: VecDeque<Vaddr>,
+    queues: PageList<2>,
 }
+
+const PROBATION: usize = 0;
+const PROTECTED: usize = 1;
 
 impl ReplacementPolicy for ScanResistant {
     fn inserted(&mut self, page: Vaddr) {
-        self.probation.push_back(page);
+        self.queues.push_back(PROBATION, page);
     }
     fn touched(&mut self, page: Vaddr) {
-        if let Some(i) = self.probation.iter().position(|p| *p == page) {
-            self.probation.remove(i);
-            self.protected.push_back(page);
-        } else if let Some(i) = self.protected.iter().position(|p| *p == page) {
-            self.protected.remove(i);
-            self.protected.push_back(page);
-        }
+        // From probation this is the promotion; within protected, the
+        // LRU refresh.
+        self.queues.move_to_back(PROTECTED, page);
     }
     fn victim(&mut self) -> Option<Vaddr> {
         // Prefer evicting probationary (scanned-once) pages.
-        self.probation
-            .front()
-            .copied()
-            .or_else(|| self.protected.front().copied())
+        self.queues
+            .front(PROBATION)
+            .or_else(|| self.queues.front(PROTECTED))
     }
     fn removed(&mut self, page: Vaddr) {
-        self.probation.retain(|p| *p != page);
-        self.protected.retain(|p| *p != page);
+        self.queues.remove(page);
     }
     fn name(&self) -> &'static str {
         "scan-resistant"
@@ -405,6 +400,27 @@ mod tests {
             lru.disk_reads
         );
         assert!(sr.hit_rate() > lru.hit_rate());
+    }
+
+    #[test]
+    fn duplicate_insert_keeps_one_entry_in_its_queue() {
+        let (a, b) = (Vaddr(0x1000), Vaddr(0xFFFF_F000));
+        let mut p = ScanResistant::default();
+        p.inserted(a);
+        p.inserted(b);
+        p.touched(a); // promoted
+        p.inserted(a); // already held: stays protected, not back on probation
+        assert_eq!(p.queues.len(), 2);
+        p.queues.check().unwrap();
+        assert_eq!(p.victim(), Some(b));
+        p.removed(b);
+        assert_eq!(p.victim(), Some(a));
+        p.removed(a);
+        assert_eq!(p.victim(), None);
+        p.touched(a); // absent: harmless
+        p.removed(a);
+        assert!(p.queues.is_empty());
+        p.queues.check().unwrap();
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub mod thread;
 pub use chan::{Channel, PageChannel, CHAN_HDR, CHAN_MAX};
 pub use dsm::{Dsm, DsmAction, DsmStats, LineEntry, DSM_CHANNEL};
 pub use mem::{
-    BackingStore, Fifo, FrameAllocator, Lru, Mru, Region, ReplacementPolicy, Segment,
-    SegmentManager,
+    BackingStore, Fifo, FrameAllocator, Lru, Mru, PageList, PageMap, Region, ReplacementPolicy,
+    Segment, SegmentManager,
 };
 pub use reliable::{Inbound, LinkCounters, ReliableLink, RELIABLE_MAGIC};
 pub use retry::{retry, retry_budgeted, Backoff, Deadline, RetryBudget};

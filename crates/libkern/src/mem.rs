@@ -11,7 +11,41 @@
 
 use cache_kernel::{CacheKernel, CkError, CkResult, ObjId};
 use hw::{Mpm, Paddr, Pfn, Pte, Vaddr, PAGE_GROUP_PAGES, PAGE_SIZE};
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative (Fibonacci) hasher for the integer-keyed tables on the
+/// fault path. Page addresses, page numbers and backing-store keys are
+/// integers this program generates, so SipHash's collision resistance
+/// buys nothing; the product is rotated so the well-mixed high half lands
+/// in the low bits the table indexes by (a page-aligned key leaves the
+/// low 12 bits of the raw product zero).
+#[derive(Clone, Copy, Default)]
+pub struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        // One multiply for a one-integer key (the state starts at zero);
+        // a key of several fields folds each into the last.
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
+/// A `HashMap` under [`PageHasher`]. Iteration order is arbitrary, as with
+/// any `HashMap`: sort before exposing it.
+pub type PageMap<K, V> = HashMap<K, V, BuildHasherDefault<PageHasher>>;
 
 /// Allocator over the physical page frames granted to an application
 /// kernel (whole page groups, suballocated internally, §3). Frames can be
@@ -102,7 +136,7 @@ impl FrameAllocator {
 /// or network file service). Reads and writes charge paging I/O time.
 #[derive(Default)]
 pub struct BackingStore {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: PageMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
     /// Pages read in.
     pub reads: u64,
     /// Pages written out.
@@ -135,8 +169,9 @@ impl BackingStore {
         self.reads += 1;
         match self.pages.get(&key) {
             Some(data) => {
-                let d = **data;
-                mpm.mem.write(frame.base(), &d).expect("frame in range");
+                mpm.mem
+                    .write(frame.base(), &data[..])
+                    .expect("frame in range");
             }
             None => {
                 mpm.mem.zero_frame(frame).expect("frame in range");
@@ -167,6 +202,12 @@ impl BackingStore {
 }
 
 /// Which page to evict next: the overridable policy hook.
+///
+/// The caller keeps the policy in step with its residency table, so a
+/// policy sees each resident page `inserted` once. Implementations must
+/// still tolerate the rest: `inserted` of a page already held keeps its
+/// position and is otherwise ignored, and `touched`/`removed` of a page
+/// not held do nothing.
 pub trait ReplacementPolicy: Send {
     /// A page became resident.
     fn inserted(&mut self, page: Vaddr);
@@ -181,22 +222,200 @@ pub trait ReplacementPolicy: Send {
     fn name(&self) -> &'static str;
 }
 
+#[derive(Clone, Copy)]
+struct PageNode {
+    page: Vaddr,
+    prev: u32,
+    next: u32,
+}
+
+/// The replacement-order core under every policy: `Q` queues of pages,
+/// each page in at most one of them, every operation O(1).
+///
+/// Nodes live in one slab and link by `u32` slot; slots `0..Q` are the
+/// queues' sentinels, so each queue is a ring and linking never branches
+/// on an empty end. Freed slots chain through `next` and are reused, so a
+/// pool at its steady size allocates nothing. One page → slot index
+/// serves all `Q` queues.
+pub struct PageList<const Q: usize> {
+    nodes: Vec<PageNode>,
+    free: u32,
+    index: PageMap<Vaddr, u32>,
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+impl<const Q: usize> Default for PageList<Q> {
+    fn default() -> Self {
+        let sentinel = |q| PageNode {
+            page: Vaddr(0),
+            prev: q,
+            next: q,
+        };
+        PageList {
+            nodes: (0..Q as u32).map(sentinel).collect(),
+            free: NO_SLOT,
+            index: PageMap::default(),
+        }
+    }
+}
+
+impl<const Q: usize> PageList<Q> {
+    fn unlink(&mut self, slot: u32) {
+        let PageNode { prev, next, .. } = self.nodes[slot as usize];
+        debug_assert_eq!(self.nodes[prev as usize].next, slot);
+        debug_assert_eq!(self.nodes[next as usize].prev, slot);
+        self.nodes[prev as usize].next = next;
+        self.nodes[next as usize].prev = prev;
+    }
+
+    /// The sentinel of `queue`: its `next` is the front, its `prev` the
+    /// back, and either is the sentinel's own slot when the queue is empty.
+    fn sentinel(&self, queue: usize) -> PageNode {
+        assert!(queue < Q, "queue {queue} of {Q}");
+        self.nodes[queue]
+    }
+
+    fn link_back(&mut self, queue: usize, slot: u32) {
+        let tail = self.sentinel(queue).prev;
+        self.nodes[slot as usize].prev = tail;
+        self.nodes[slot as usize].next = queue as u32;
+        self.nodes[tail as usize].next = slot;
+        self.nodes[queue].prev = slot;
+    }
+
+    /// Append `page` to `queue`. A page already held (in any queue) keeps
+    /// its place; returns whether the page was added.
+    pub fn push_back(&mut self, queue: usize, page: Vaddr) -> bool {
+        let Entry::Vacant(entry) = self.index.entry(page) else {
+            return false;
+        };
+        let slot = if self.free == NO_SLOT {
+            assert!(self.nodes.len() < NO_SLOT as usize, "page list full");
+            self.nodes.push(PageNode {
+                page,
+                prev: NO_SLOT,
+                next: NO_SLOT,
+            });
+            (self.nodes.len() - 1) as u32
+        } else {
+            let slot = self.free;
+            self.free = self.nodes[slot as usize].next;
+            self.nodes[slot as usize].page = page;
+            slot
+        };
+        entry.insert(slot);
+        self.link_back(queue, slot);
+        true
+    }
+
+    /// Drop `page` from whichever queue holds it; returns whether it was
+    /// held.
+    pub fn remove(&mut self, page: Vaddr) -> bool {
+        let Some(slot) = self.index.remove(&page) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.nodes[slot as usize].next = self.free;
+        self.free = slot;
+        true
+    }
+
+    /// Move `page` from whichever queue holds it to the back of `queue`;
+    /// returns whether it was held.
+    pub fn move_to_back(&mut self, queue: usize, page: Vaddr) -> bool {
+        let Some(&slot) = self.index.get(&page) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.link_back(queue, slot);
+        true
+    }
+
+    /// The oldest page of `queue`.
+    pub fn front(&self, queue: usize) -> Option<Vaddr> {
+        let slot = self.sentinel(queue).next as usize;
+        (slot != queue).then(|| self.nodes[slot].page)
+    }
+
+    /// The newest page of `queue`.
+    pub fn back(&self, queue: usize) -> Option<Vaddr> {
+        let slot = self.sentinel(queue).prev as usize;
+        (slot != queue).then(|| self.nodes[slot].page)
+    }
+
+    /// Pages held across all queues.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether no queue holds a page.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Walk every queue and the free chain (O(n), tests only): each slot
+    /// is on exactly one of them, links agree in both directions, and the
+    /// index names exactly the queued slots.
+    pub fn check(&self) -> Result<(), String> {
+        let mut seen = vec![false; self.nodes.len()];
+        let mut queued = 0;
+        for queue in 0..Q {
+            let mut slot = queue;
+            loop {
+                let next = self.nodes[slot].next as usize;
+                if self.nodes[next].prev as usize != slot {
+                    return Err(format!("slot {next}: prev does not lead back to {slot}"));
+                }
+                if next == queue {
+                    break;
+                }
+                if next < Q || std::mem::replace(&mut seen[next], true) {
+                    return Err(format!("slot {next} is linked twice"));
+                }
+                if self.index.get(&self.nodes[next].page) != Some(&(next as u32)) {
+                    return Err(format!("slot {next}: index disagrees"));
+                }
+                queued += 1;
+                slot = next;
+            }
+        }
+        let mut free = 0;
+        let mut slot = self.free;
+        while slot != NO_SLOT {
+            if std::mem::replace(&mut seen[slot as usize], true) {
+                return Err(format!("free slot {slot} is also linked"));
+            }
+            free += 1;
+            slot = self.nodes[slot as usize].next;
+        }
+        if queued != self.index.len() || Q + queued + free != self.nodes.len() {
+            return Err(format!(
+                "{queued} queued + {free} free + {Q} sentinels, {} indexed, {} slots",
+                self.index.len(),
+                self.nodes.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// First-in-first-out eviction.
 #[derive(Default)]
 pub struct Fifo {
-    queue: VecDeque<Vaddr>,
+    queue: PageList<1>,
 }
 
 impl ReplacementPolicy for Fifo {
     fn inserted(&mut self, page: Vaddr) {
-        self.queue.push_back(page);
+        self.queue.push_back(0, page);
     }
     fn touched(&mut self, _page: Vaddr) {}
     fn victim(&mut self) -> Option<Vaddr> {
-        self.queue.front().copied()
+        self.queue.front(0)
     }
     fn removed(&mut self, page: Vaddr) {
-        self.queue.retain(|p| *p != page);
+        self.queue.remove(page);
     }
     fn name(&self) -> &'static str {
         "fifo"
@@ -206,24 +425,21 @@ impl ReplacementPolicy for Fifo {
 /// Least-recently-used (by fault/touch order).
 #[derive(Default)]
 pub struct Lru {
-    order: VecDeque<Vaddr>,
+    order: PageList<1>,
 }
 
 impl ReplacementPolicy for Lru {
     fn inserted(&mut self, page: Vaddr) {
-        self.order.push_back(page);
+        self.order.push_back(0, page);
     }
     fn touched(&mut self, page: Vaddr) {
-        if let Some(i) = self.order.iter().position(|p| *p == page) {
-            self.order.remove(i);
-            self.order.push_back(page);
-        }
+        self.order.move_to_back(0, page);
     }
     fn victim(&mut self) -> Option<Vaddr> {
-        self.order.front().copied()
+        self.order.front(0)
     }
     fn removed(&mut self, page: Vaddr) {
-        self.order.retain(|p| *p != page);
+        self.order.remove(page);
     }
     fn name(&self) -> &'static str {
         "lru"
@@ -235,24 +451,21 @@ impl ReplacementPolicy for Lru {
 /// applications want policy control.
 #[derive(Default)]
 pub struct Mru {
-    order: VecDeque<Vaddr>,
+    order: PageList<1>,
 }
 
 impl ReplacementPolicy for Mru {
     fn inserted(&mut self, page: Vaddr) {
-        self.order.push_back(page);
+        self.order.push_back(0, page);
     }
     fn touched(&mut self, page: Vaddr) {
-        if let Some(i) = self.order.iter().position(|p| *p == page) {
-            self.order.remove(i);
-            self.order.push_back(page);
-        }
+        self.order.move_to_back(0, page);
     }
     fn victim(&mut self) -> Option<Vaddr> {
-        self.order.back().copied()
+        self.order.back(0)
     }
     fn removed(&mut self, page: Vaddr) {
-        self.order.retain(|p| *p != page);
+        self.order.remove(page);
     }
     fn name(&self) -> &'static str {
         "mru"
@@ -277,7 +490,10 @@ pub struct Region {
 impl Region {
     /// Whether the region covers `vaddr`.
     pub fn contains(&self, vaddr: Vaddr) -> bool {
-        vaddr.0 >= self.base.0 && vaddr.0 < self.base.0 + self.pages * PAGE_SIZE
+        // The end of a region can lie at or past 2^32: compare the offset
+        // against the length in u64.
+        vaddr.0 >= self.base.0
+            && u64::from(vaddr.0 - self.base.0) < u64::from(self.pages) * u64::from(PAGE_SIZE)
     }
     /// The segment page key backing `vaddr`.
     pub fn segment_page(&self, vaddr: Vaddr) -> u32 {
@@ -308,8 +524,8 @@ pub struct SegmentManager {
     /// The managed address space (refreshed by the owner on reload).
     pub space: ObjId,
     regions: Vec<Region>,
-    segments: HashMap<u32, Segment>,
-    resident: HashMap<Vaddr, Pfn>,
+    segments: PageMap<u32, Segment>,
+    resident: PageMap<Vaddr, Pfn>,
     /// The replacement policy (overridable, and visible so owners can
     /// feed it application-specific touch information).
     pub policy: Box<dyn ReplacementPolicy>,
@@ -328,8 +544,8 @@ impl SegmentManager {
         SegmentManager {
             space,
             regions: Vec::new(),
-            segments: HashMap::new(),
-            resident: HashMap::new(),
+            segments: PageMap::default(),
+            resident: PageMap::default(),
             policy,
             frame_limit: frame_limit.max(1),
             faults: 0,
@@ -353,6 +569,12 @@ impl SegmentManager {
         self.regions.iter().find(|r| r.contains(vaddr))
     }
 
+    /// Backing-store key of `page`, which `region` covers.
+    fn store_key(&self, region: &Region, page: Vaddr) -> CkResult<u64> {
+        let seg = self.segments.get(&region.segment).ok_or(CkError::Invalid)?;
+        Ok(seg.key(region.segment_page(page)))
+    }
+
     /// Resident page count.
     pub fn resident(&self) -> usize {
         self.resident.len()
@@ -373,28 +595,20 @@ impl SegmentManager {
         cpu: usize,
     ) -> CkResult<bool> {
         let page = vaddr.page_base();
-        let (region, seg) = match self.region_of(page) {
-            Some(r) => {
-                let seg = self
-                    .segments
-                    .get(&r.segment)
-                    .cloned()
-                    .ok_or(CkError::Invalid)?;
-                (r.clone(), seg)
-            }
-            None => return Ok(false),
+        let Some(region) = self.region_of(page) else {
+            return Ok(false);
         };
-        if self.resident.contains_key(&page) {
+        let flags = region.flags;
+        if let Some(&pfn) = self.resident.get(&page) {
             // Mapping was written back by the Cache Kernel but the frame
             // is still ours: just reload the mapping.
-            let pfn = self.resident[&page];
             self.policy.touched(page);
             ck.load_mapping_and_resume(
                 kernel,
                 self.space,
                 page,
                 pfn.base(),
-                region.flags,
+                flags,
                 None,
                 None,
                 mpm,
@@ -403,6 +617,7 @@ impl SegmentManager {
             return Ok(true);
         }
 
+        let key = self.store_key(region, page)?;
         self.faults += 1;
         // Make room under the frame limit.
         while self.resident.len() >= self.frame_limit {
@@ -411,7 +626,6 @@ impl SegmentManager {
             }
         }
         let pfn = frames.alloc().ok_or(CkError::CacheFull)?;
-        let key = seg.key(region.segment_page(page));
         store.page_in(mpm, key, pfn);
         self.resident.insert(page, pfn);
         self.policy.inserted(page);
@@ -420,7 +634,7 @@ impl SegmentManager {
             self.space,
             page,
             pfn.base(),
-            region.flags,
+            flags,
             None,
             None,
             mpm,
@@ -458,13 +672,8 @@ impl SegmentManager {
             .map(|s| s.flags & Pte::MODIFIED != 0)
             .unwrap_or(false);
         if dirty {
-            let region = self.region_of(victim).cloned().ok_or(CkError::Invalid)?;
-            let seg = self
-                .segments
-                .get(&region.segment)
-                .cloned()
-                .ok_or(CkError::Invalid)?;
-            store.page_out(mpm, seg.key(region.segment_page(victim)), pfn);
+            let region = self.region_of(victim).ok_or(CkError::Invalid)?;
+            store.page_out(mpm, self.store_key(region, victim)?, pfn);
         }
         frames.free(pfn);
         Ok(true)
@@ -588,6 +797,100 @@ mod tests {
         mpm.mem.read(Paddr(0x5000), &mut buf).unwrap();
         assert_eq!(&buf, b"world");
         assert_eq!((bs.reads, bs.writes), (3, 1));
+    }
+
+    #[test]
+    fn region_bounds_do_not_wrap_at_the_top_of_the_space() {
+        let region = |base, pages| Region {
+            base: Vaddr(base),
+            pages,
+            segment: 1,
+            seg_offset: 0,
+            flags: 0,
+        };
+        // Ends exactly at 2^32.
+        let top = region(0xFFFF_0000, 16);
+        assert!(top.contains(Vaddr(0xFFFF_0000)));
+        assert!(top.contains(Vaddr(0xFFFF_FFFF)));
+        assert!(!top.contains(Vaddr(0xFFFE_FFFF)));
+        assert_eq!(top.segment_page(Vaddr(0xFFFF_F000)), 15);
+        // `pages * PAGE_SIZE` alone is 2^32.
+        let whole = region(0, 1 << 20);
+        assert!(whole.contains(Vaddr(0)));
+        assert!(whole.contains(Vaddr(0xFFFF_F000)));
+        // An ordinary region keeps its exclusive end.
+        let low = region(0x10_0000, 4);
+        assert!(low.contains(Vaddr(0x10_3FFF)));
+        assert!(!low.contains(Vaddr(0x10_4000)));
+        assert!(!low.contains(Vaddr(0x0F_FFFF)));
+    }
+
+    #[test]
+    fn page_list_moves_pages_between_queues_and_reuses_slots() {
+        let page = |n: u32| Vaddr(n * PAGE_SIZE);
+        let mut list = PageList::<2>::default();
+        assert_eq!((list.front(0), list.back(1)), (None, None));
+        for n in 0..4 {
+            assert!(list.push_back(0, page(n)));
+        }
+        assert!(list.move_to_back(1, page(1)), "0: 0 2 3 | 1: 1");
+        assert!(list.move_to_back(1, page(3)), "0: 0 2 | 1: 1 3");
+        assert!(list.move_to_back(1, page(1)), "0: 0 2 | 1: 3 1");
+        assert!(!list.move_to_back(1, page(9)), "absent page");
+        assert_eq!(
+            (list.front(0), list.back(0)),
+            (Some(page(0)), Some(page(2)))
+        );
+        assert_eq!(
+            (list.front(1), list.back(1)),
+            (Some(page(3)), Some(page(1)))
+        );
+        list.check().unwrap();
+        assert!(list.remove(page(0)) && list.remove(page(3)));
+        assert!(!list.remove(page(3)), "already gone");
+        assert_eq!(
+            (list.front(0), list.front(1)),
+            (Some(page(2)), Some(page(1)))
+        );
+        // The two freed slots are reused before the slab grows.
+        let slots = list.nodes.len();
+        assert!(list.push_back(1, page(7)) && list.push_back(0, page(8)));
+        assert_eq!(list.nodes.len(), slots);
+        assert_eq!(list.len(), 4);
+        assert_eq!((list.back(0), list.back(1)), (Some(page(8)), Some(page(7))));
+        list.check().unwrap();
+        for n in [1, 2, 7, 8] {
+            assert!(list.remove(page(n)));
+        }
+        assert!(list.is_empty());
+        assert_eq!((list.front(0), list.back(1)), (None, None));
+        list.check().unwrap();
+    }
+
+    #[test]
+    fn duplicate_insert_keeps_one_entry_in_place() {
+        const A: Vaddr = Vaddr(0x1000);
+        const B: Vaddr = Vaddr(0xFFFF_F000);
+        fn drive<P: ReplacementPolicy>(mut p: P, list: fn(&P) -> &PageList<1>, order: [Vaddr; 2]) {
+            p.inserted(A);
+            p.inserted(B);
+            p.inserted(A); // already held: ignored, A stays the older
+            assert_eq!(list(&p).len(), 2);
+            list(&p).check().unwrap();
+            assert_eq!(p.victim(), Some(order[0]), "{}", p.name());
+            p.removed(order[0]);
+            // No second copy of an evicted page is left to offer.
+            assert_eq!(p.victim(), Some(order[1]), "{}", p.name());
+            p.removed(order[1]);
+            assert_eq!(p.victim(), None);
+            p.touched(A); // absent: harmless
+            p.removed(A);
+            assert!(list(&p).is_empty());
+            list(&p).check().unwrap();
+        }
+        drive(Fifo::default(), |p| &p.queue, [A, B]);
+        drive(Lru::default(), |p| &p.order, [A, B]);
+        drive(Mru::default(), |p| &p.order, [B, A]);
     }
 
     #[test]

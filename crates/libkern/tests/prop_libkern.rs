@@ -1,6 +1,8 @@
 //! Property tests for the class libraries: replacement policies against
-//! a residency model, the segment manager's frame-limit invariant under
-//! arbitrary fault/evict sequences, and share-counted frame allocation.
+//! a residency model and, victim for victim, against the reference model
+//! in `tests/spec/replacement.rs`; the segment manager's frame-limit
+//! invariant under arbitrary fault/evict sequences; and share-counted
+//! frame allocation.
 
 use cache_kernel::{CacheKernel, CkConfig, KernelDesc, MemoryAccessArray, SpaceDesc};
 use hw::{MachineConfig, Mpm, Pfn, Pte, Vaddr, PAGE_SIZE};
@@ -11,11 +13,21 @@ use libkern::{
 use proptest::prelude::*;
 use std::collections::HashSet;
 
+#[path = "../../../tests/spec/replacement.rs"]
+mod replacement;
+
 fn policy(which: u8) -> Box<dyn ReplacementPolicy> {
     match which % 3 {
         0 => Box::<Fifo>::default(),
         1 => Box::<Lru>::default(),
         _ => Box::<Mru>::default(),
+    }
+}
+
+#[test]
+fn policies_evict_in_the_models_order() {
+    for which in 0..3 {
+        replacement::assert_matches_model(|| policy(which));
     }
 }
 

@@ -53,7 +53,7 @@
 
 use cache_kernel::{AppKernel, ClusterEvent, Env, FaultDisposition, ObjId, TrapDisposition};
 use hw::{Fault, Packet};
-use libkern::{Backoff, Deadline, RetryBudget};
+use libkern::{Backoff, Deadline, PageMap, RetryBudget};
 use std::collections::BTreeMap;
 
 /// Fabric channel for front-kernel request forwarding.
@@ -309,7 +309,7 @@ struct FrontCache {
     cap: usize,
     /// (page, referenced) in slot order.
     slots: Vec<(u32, bool)>,
-    index: BTreeMap<u32, usize>,
+    index: PageMap<u32, usize>,
     hand: usize,
 }
 
@@ -318,7 +318,7 @@ impl FrontCache {
         FrontCache {
             cap: cap.max(1),
             slots: Vec::new(),
-            index: BTreeMap::new(),
+            index: PageMap::default(),
             hand: 0,
         }
     }

@@ -151,6 +151,11 @@ else
   echo "  skipped: nproc = $(nproc), and two shard threads on one core measure the scheduler, not the rings"
 fi
 
+echo "== replacement O(1) gate (same-run ratio: an LRU touch at 8192 resident pages vs 512) =="
+# One process times both pools, so the host's speed cancels: a touch in
+# the 16x larger pool may cost at most 3x (scripts/README.md).
+cargo test -q --release -p libkern --test replacement_scaling -- --ignored --nocapture
+
 echo "== ckbench gate (benchmark unit tests, BENCHMARK.json contract, exact sim fingerprints) =="
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 diff -u BENCHMARK.json <(ckbench --contract)

@@ -12,7 +12,7 @@
 //! `BENCH_<section>.json` artifact beside the working directory's
 //! manifest (numbers plus the pinned seeds the check gates replay).
 
-use bench::{quick_median_ns, Bench};
+use bench::{count_loc, quick_median_ns, Bench};
 use cache_kernel::{
     CacheKernel, CkConfig, Executive, FnProgram, KernelDesc, MemoryAccessArray, NullKernel,
     SpaceDesc, Step, ThreadCtx, ThreadDesc,
@@ -1029,43 +1029,13 @@ fn fault() {
 // ---------------------------------------------------------------------
 // E-size — §5.1 code size
 // ---------------------------------------------------------------------
-fn count_loc(dir: &std::path::Path) -> usize {
-    let mut total = 0;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                total += count_loc(&p);
-            } else if p.extension().map(|x| x == "rs").unwrap_or(false) {
-                if let Ok(text) = std::fs::read_to_string(&p) {
-                    let mut in_tests = false;
-                    for line in text.lines() {
-                        let t = line.trim();
-                        if t.starts_with("#[cfg(test)]") {
-                            in_tests = true;
-                        }
-                        if in_tests {
-                            continue; // count only non-test code, like the paper
-                        }
-                        if !t.is_empty() && !t.starts_with("//") {
-                            total += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    total
-}
-
 fn size() {
     println!("## §5.1 — code size\n");
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let loc = |rel: &str| count_loc(&root.join(rel));
-    let ck_total = loc("crates/cache-kernel/src");
     let vm_core = ["ck.rs", "physmap.rs", "reclaim.rs", "fault.rs"]
         .iter()
-        .map(|f| count_loc_file(&root.join("crates/cache-kernel/src").join(f)))
+        .map(|f| loc(&format!("crates/cache-kernel/src/{f}")))
         .sum::<usize>();
     println!("paper: Cache Kernel VM code ≈ 1,500 lines C++ vs V kernel 13,087 /");
     println!("       SunOS 14,400 / Mach 20,000+ / Ultrix 23,400; whole Cache");
@@ -1073,56 +1043,22 @@ fn size() {
     println!("       binary 139 KB.\n");
     println!("| subsystem                  | non-test LoC |");
     println!("|----------------------------|-------------:|");
-    println!("| cache-kernel (supervisor)  | {ck_total:>12} |");
-    println!("|   of which VM+fault core   | {vm_core:>12} |");
-    println!(
-        "| hw substrate (\"hardware\")  | {:>12} |",
-        loc("crates/hw/src")
-    );
-    println!(
-        "| libkern class libraries    | {:>12} |",
-        loc("crates/libkern/src")
-    );
-    println!(
-        "| unix emulator              | {:>12} |",
-        loc("crates/unix-emu/src")
-    );
-    println!(
-        "| srm                        | {:>12} |",
-        loc("crates/srm/src")
-    );
-    println!(
-        "| sim-kernel (MP3D + DES)    | {:>12} |",
-        loc("crates/sim-kernel/src")
-    );
-    println!(
-        "| db-kernel                  | {:>12} |",
-        loc("crates/db-kernel/src")
-    );
+    for (name, n) in [
+        ("cache-kernel (supervisor)", loc("crates/cache-kernel/src")),
+        ("  of which VM+fault core", vm_core),
+        ("hw substrate (\"hardware\")", loc("crates/hw/src")),
+        ("libkern class libraries", loc("crates/libkern/src")),
+        ("unix emulator", loc("crates/unix-emu/src")),
+        ("srm", loc("crates/srm/src")),
+        ("sim-kernel (MP3D + DES)", loc("crates/sim-kernel/src")),
+        ("db-kernel", loc("crates/db-kernel/src")),
+        ("workloads", loc("crates/workloads/src")),
+        ("every crate under crates/", loc("crates")),
+    ] {
+        println!("| {name:<26} | {n:>12} |");
+    }
     println!("\nShape: the supervisor-mode component stays small; policy bulk");
     println!("(paging, scheduling, swapping, fs) lives in application kernels.\n");
-}
-
-fn count_loc_file(p: &std::path::Path) -> usize {
-    std::fs::read_to_string(p)
-        .map(|text| {
-            let mut n = 0;
-            let mut in_tests = false;
-            for line in text.lines() {
-                let t = line.trim();
-                if t.starts_with("#[cfg(test)]") {
-                    in_tests = true;
-                }
-                if in_tests {
-                    continue;
-                }
-                if !t.is_empty() && !t.starts_with("//") {
-                    n += 1;
-                }
-            }
-            n
-        })
-        .unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------

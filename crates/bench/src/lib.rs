@@ -9,6 +9,8 @@
 
 use cache_kernel::{CacheKernel, CkConfig, KernelDesc, MemoryAccessArray, ObjId};
 use hw::{MachineConfig, Mpm};
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 
 /// A Cache Kernel + machine pair sized like the prototype, booted with
 /// an all-access first kernel, for micro-benchmarks that call the
@@ -100,6 +102,87 @@ pub fn quick_median_ns<S>(
     meas[meas.len() / 2]
 }
 
+/// Non-test source lines under `path` (a `.rs` file, or a directory
+/// walked recursively past any `tests/` and `benches/`): lines that are
+/// neither blank nor `//` comments,
+/// outside every item gated by `#[cfg(test)]` (the attribute included)
+/// and outside every file such an item declares (`#[cfg(test)] mod x;`).
+/// This is the count the paper's §5.1 size comparison uses.
+pub fn count_loc(path: &Path) -> usize {
+    let mut files = Vec::new();
+    collect_rs(path, &mut files);
+    let scanned: Vec<_> = files.iter().map(|f| scan_file(f)).collect();
+    let test_files: HashSet<&PathBuf> = scanned.iter().flat_map(|(_, t)| t).collect();
+    let live = files
+        .iter()
+        .zip(&scanned)
+        .filter(|(f, _)| !test_files.contains(f));
+    live.map(|(_, (n, _))| n).sum()
+}
+
+fn collect_rs(path: &Path, out: &mut Vec<PathBuf>) {
+    if path.is_dir() && !path.ends_with("tests") && !path.ends_with("benches") {
+        for entry in std::fs::read_dir(path).into_iter().flatten().flatten() {
+            collect_rs(&entry.path(), out);
+        }
+    } else if path.extension().is_some_and(|x| x == "rs") {
+        out.extend(path.canonicalize());
+    }
+}
+
+/// One file's non-test lines, and the files its gated `mod x;` items
+/// declare. Reads rustfmt layout (check.sh enforces it): a gated item
+/// ends at the first line back at the attribute's indentation that ends
+/// in `;`, `,` or `}`, or at a line indented less (its block closed).
+fn scan_file(file: &Path) -> (usize, Vec<PathBuf>) {
+    let text = std::fs::read_to_string(file).unwrap_or_default();
+    let (mut count, mut test_files) = (0, Vec::new());
+    // The gated item's indentation, and the `#[path]` it carries.
+    let mut gated: Option<(usize, Option<String>)> = None;
+    for line in text.lines() {
+        let mut t = line.trim();
+        let indent = line.len() - line.trim_start().len();
+        if matches!(gated, Some((at, _)) if indent < at && !t.is_empty()) {
+            gated = None;
+        }
+        if gated.is_none() {
+            let Some(rest) = t.strip_prefix("#[cfg(test)]") else {
+                count += usize::from(!t.is_empty() && !t.starts_with("//"));
+                continue;
+            };
+            gated = Some((indent, None));
+            t = rest.trim();
+        }
+        let Some((at, path)) = gated.as_mut() else {
+            continue;
+        };
+        if let Some(p) = t.strip_prefix("#[path = \"") {
+            *path = p.split('"').next().map(String::from);
+        }
+        if indent > *at || t.starts_with("#[") || !t.ends_with([';', ',', '}']) {
+            continue;
+        }
+        let mut words = t.trim_end_matches(';').split_whitespace();
+        if t.ends_with(';') && words.any(|w| w == "mod") {
+            let (dir, name) = (file.with_extension(""), words.next().unwrap_or(""));
+            let dir = match dir.file_name().and_then(|s| s.to_str()) {
+                Some("mod" | "lib" | "main") | None => file.parent().unwrap_or(&dir),
+                Some(_) => &dir,
+            };
+            let declared = match path.take() {
+                Some(p) => vec![file.with_file_name(p)],
+                None => vec![
+                    dir.join(format!("{name}.rs")),
+                    dir.join(name).join("mod.rs"),
+                ],
+            };
+            test_files.extend(declared.iter().filter_map(|f| f.canonicalize().ok()));
+        }
+        gated = None;
+    }
+    (count, test_files)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,6 +192,23 @@ mod tests {
         let b = Bench::new();
         assert_eq!(b.ck.occupancy()[0], (1, 16));
         assert_eq!(b.sim_micros(), 0.0);
+    }
+
+    /// The fixture under `tests/fixtures/loc` has nine non-test lines:
+    /// lines after a gated item count, and the three files declared only
+    /// for tests (`mod tests;`, a `#[path]` module and a non-`mod.rs`
+    /// file's `mod inner;`) do not.
+    #[test]
+    fn count_loc_skips_test_items_and_test_files() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/loc");
+        assert_eq!(count_loc(&root.join("lib.rs")), 5);
+        assert_eq!(count_loc(&root.join("plain.rs")), 4);
+        assert_eq!(count_loc(&root), 9);
+        let (_, test_files) = scan_file(&root.join("plain.rs"));
+        assert_eq!(
+            test_files,
+            [root.join("plain/inner.rs").canonicalize().unwrap()]
+        );
     }
 
     #[test]

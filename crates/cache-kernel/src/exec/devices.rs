@@ -1,10 +1,9 @@
 //! Device polling and fabric packet movement.
 //!
 //! Devices never touch application kernels directly either: the clock's
-//! tick and the Ethernet driver's receive completions enter the pipeline
-//! as [`KernelEvent::DeviceInterrupt`]s, and arriving fabric packets as
-//! [`KernelEvent::PacketArrived`]; the pump turns them into the
-//! address-valued signals and kernel hooks.
+//! tick enters the pipeline as a [`KernelEvent::DeviceInterrupt`], and
+//! arriving fabric packets as [`KernelEvent::PacketArrived`]; the pump
+//! turns them into the address-valued signals and kernel hooks.
 //!
 //! [`KernelEvent::DeviceInterrupt`]: crate::events::KernelEvent
 //! [`KernelEvent::PacketArrived`]: crate::events::KernelEvent
@@ -25,11 +24,6 @@ impl Executive {
                 source: DeviceSource::Clock,
                 paddr: pa,
             });
-        }
-        // Ethernet driver: reclaim transmit descriptors and turn receive
-        // completions into interrupt events on the buffer pages.
-        if let Some(drv) = self.ether_driver.as_mut() {
-            drv.poll(&mut self.ck, &mut self.mpm);
         }
     }
 
@@ -57,11 +51,7 @@ impl Executive {
     /// the event pipeline immediately, so callers observe the same
     /// synchronous behavior as before the pipeline refactor.
     pub fn deliver_packet(&mut self, pkt: Packet) {
-        if self.ether_driver.is_some() && self.ether_channels.contains(&pkt.channel) {
-            // DMA into the Ethernet receive ring; the driver emits the
-            // interrupt event at the next poll.
-            self.mpm.ether.deliver(&mut self.mpm.mem, &pkt);
-        } else if let Some(pa) = self.mpm.fiber.deliver(&mut self.mpm.mem, &pkt) {
+        if let Some(pa) = self.mpm.fiber.deliver(&mut self.mpm.mem, &pkt) {
             self.ck.emit(KernelEvent::DeviceInterrupt {
                 source: DeviceSource::Fiber,
                 paddr: pa,

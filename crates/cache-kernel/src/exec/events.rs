@@ -59,13 +59,6 @@ impl Executive {
         }
     }
 
-    /// Deliver queued writebacks (and any other pending events) to their
-    /// owning application kernels. Retained name from the pre-pipeline
-    /// interface; it is now a pump alias.
-    pub fn dispatch_writebacks(&mut self) {
-        self.pump_events();
-    }
-
     fn deliver_event(&mut self, ev: KernelEvent) {
         match ev {
             KernelEvent::FaultForward {
@@ -123,7 +116,8 @@ impl Executive {
                 }
             }
             KernelEvent::PacketArrived { src, channel, data } => {
-                if let Some(ks) = self.channel_owners.get(&channel).copied() {
+                let owner = self.channel_owners.iter().find(|&&(c, _)| c == channel);
+                if let Some(&(_, ks)) = owner {
                     self.call_kernel(ks, 0, |k, env| k.on_packet(env, src, channel, &data));
                 }
             }

@@ -62,15 +62,11 @@ pub struct Executive {
     /// Registered application kernels (delivery order is slot order).
     pub(crate) kernels: AppKernelTable,
     /// Network channel → owning kernel slot (stand-in for the SRM channel
-    /// manager's registry).
-    pub channel_owners: HashMap<u32, u16>,
+    /// manager's registry). A node registers a handful, so a linear
+    /// search is the lookup.
+    pub channel_owners: Vec<(u32, u16)>,
     /// Packets awaiting the fabric.
     pub outbox: Vec<Packet>,
-    /// Optional Ethernet driver (the DMA-to-messaging adaptation).
-    pub ether_driver: Option<crate::drivers::EtherDriver>,
-    /// Channels routed through the Ethernet interface instead of the
-    /// fiber channel.
-    pub ether_channels: std::collections::HashSet<u32>,
     pub(crate) last_period_end: u64,
     /// Quanta executed (diagnostics).
     pub quanta_run: u64,
@@ -120,10 +116,8 @@ impl Executive {
             mpm,
             code: CodeStore::new(),
             kernels: AppKernelTable::new(),
-            channel_owners: HashMap::new(),
+            channel_owners: Vec::new(),
             outbox: Vec::new(),
-            ether_driver: None,
-            ether_channels: std::collections::HashSet::new(),
             last_period_end: 0,
             quanta_run: 0,
             trace: EventTrace::default(),
@@ -170,7 +164,8 @@ impl Executive {
 
     /// Route `channel` to `kernel` for incoming packets.
     pub fn register_channel(&mut self, channel: u32, kernel: ObjId) {
-        self.channel_owners.insert(channel, kernel.slot);
+        self.channel_owners.retain(|&(c, _)| c != channel);
+        self.channel_owners.push((channel, kernel.slot));
     }
 
     /// Invoke a registered kernel with an [`Env`] (take-out/put-back so

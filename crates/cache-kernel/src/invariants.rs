@@ -142,7 +142,8 @@ impl CacheKernel {
         }
 
         // 6. Scheduler holds only loaded Ready threads, no duplicates,
-        //    and its queued bits agree with the queues.
+        //    and its queued bits and non-empty level masks agree with the
+        //    queues.
         self.sched.check_queued_bits()?;
         for slot in 0..self.threads.capacity() as u16 {
             if self.sched.contains(slot) {

@@ -18,34 +18,55 @@
 //!
 //! Determinism: there is no wall-clock and no randomness anywhere in
 //! here. Queue contents are FIFO `VecDeque`s, the steal order is a pure
-//! function of the stealing CPU index, and `pick` scans priority levels
-//! high-to-low before it scans CPUs — so the global invariant of the old
-//! single-queue scheduler (the highest-priority ready thread always runs
-//! first) is preserved exactly, and two identical runs produce identical
-//! dispatch sequences.
+//! function of the stealing CPU index, and `pick` takes the highest
+//! ready priority before it chooses a CPU — so the global invariant of
+//! the old single-queue scheduler (the highest-priority ready thread
+//! always runs first) is preserved exactly, and two identical runs
+//! produce identical dispatch sequences.
+//!
+//! Each CPU keeps a bitmask of its non-empty levels, so the dispatch
+//! decision and the preemption check are a few bit operations per CPU
+//! instead of a scan of every level; `tests/spec/sched.rs` holds that
+//! level-by-level scan as the reference model the tests compare against.
 
 use crate::objects::{Priority, PRIORITY_LEVELS};
 use std::collections::VecDeque;
 
+const _: () = assert!(PRIORITY_LEVELS <= u32::BITS as usize);
+
 /// One CPU's ready queues: one FIFO per priority level over thread slots.
 struct CpuQueues {
     levels: [VecDeque<u16>; PRIORITY_LEVELS],
+    /// Bit `p` set ⇔ `levels[p]` is non-empty.
+    mask: u32,
 }
 
 impl CpuQueues {
     fn new() -> Self {
         CpuQueues {
             levels: core::array::from_fn(|_| VecDeque::new()),
+            mask: 0,
         }
     }
 
-    /// Highest non-empty priority level, if any.
-    fn top(&self) -> Option<Priority> {
-        (0..PRIORITY_LEVELS)
-            .rev()
-            .find(|&p| !self.levels[p].is_empty())
-            .map(|p| p as Priority)
+    /// Take the entry at `pos` of level `p`, keeping the mask exact.
+    fn take(&mut self, p: usize, pos: usize) -> Option<u16> {
+        let slot = self.levels[p].remove(pos)?;
+        if self.levels[p].is_empty() {
+            self.mask &= !(1 << p);
+        }
+        Some(slot)
     }
+}
+
+/// The set bits of `mask`, highest first: the non-empty levels of a
+/// [`CpuQueues`] in dispatch order.
+fn levels_desc(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let p = mask.checked_ilog2()? as usize;
+        mask &= !(1 << p);
+        Some(p)
+    })
 }
 
 /// Result of a dispatch decision: which thread, at what priority, and
@@ -101,10 +122,8 @@ impl Scheduler {
         }
         let mut queued: Vec<(u16, Priority)> = Vec::new();
         for cq in &mut self.cpus {
-            for p in (0..PRIORITY_LEVELS).rev() {
-                while let Some(slot) = cq.levels[p].pop_front() {
-                    queued.push((slot, p as Priority));
-                }
+            for p in levels_desc(cq.mask) {
+                queued.extend(cq.levels[p].drain(..).map(|slot| (slot, p as Priority)));
             }
         }
         self.cpus = (0..n).map(|_| CpuQueues::new()).collect();
@@ -124,7 +143,9 @@ impl Scheduler {
     pub fn enqueue(&mut self, slot: u16, priority: Priority) {
         debug_assert!(!self.contains(slot), "slot double-enqueued");
         let home = self.home_of(slot);
-        self.cpus[home].levels[priority as usize].push_back(slot);
+        let cq = &mut self.cpus[home];
+        cq.levels[priority as usize].push_back(slot);
+        cq.mask |= 1 << priority;
         if self.queued.len() <= slot as usize {
             self.queued.resize(slot as usize + 1, false);
         }
@@ -132,8 +153,8 @@ impl Scheduler {
     }
 
     /// Dispatch decision for `cpu`: the highest-priority ready thread,
-    /// preferring the CPU's own queue at each priority level and then
-    /// stealing in fixed wrap-around order (`cpu+1, cpu+2, ...`).
+    /// preferring the CPU's own queue at that priority and then stealing
+    /// in fixed wrap-around order (`cpu+1, cpu+2, ...`).
     pub fn pick(&mut self, cpu: usize) -> Option<Pick> {
         let n = self.cpus.len();
         if cpu >= n {
@@ -142,35 +163,26 @@ impl Scheduler {
             debug_assert!(false, "pick from unconfigured CPU {cpu} (of {n})");
             return None;
         }
-        for p in (0..PRIORITY_LEVELS).rev() {
-            if let Some(slot) = self.cpus[cpu].levels[p].pop_front() {
-                self.queued[slot as usize] = false;
-                return Some(Pick {
-                    slot,
-                    priority: p as Priority,
-                    stolen_from: None,
-                });
-            }
-            for step in 1..n {
-                let victim = (cpu + step) % n;
-                if let Some(slot) = self.cpus[victim].levels[p].pop_front() {
-                    self.queued[slot as usize] = false;
-                    self.steals += 1;
-                    return Some(Pick {
-                        slot,
-                        priority: p as Priority,
-                        stolen_from: Some(victim),
-                    });
-                }
-            }
-        }
-        None
+        let priority = self.top_priority()?;
+        let victim = (cpu..cpu + n)
+            .map(|c| c % n)
+            .find(|&c| self.cpus[c].mask & (1 << priority) != 0)?;
+        let slot = self.cpus[victim].take(priority as usize, 0)?;
+        self.queued[slot as usize] = false;
+        let stolen_from = (victim != cpu).then_some(victim);
+        self.steals += u64::from(stolen_from.is_some());
+        Some(Pick {
+            slot,
+            priority,
+            stolen_from,
+        })
     }
 
     /// Highest priority currently ready on any CPU, if any (for
     /// preemption checks).
     pub fn top_priority(&self) -> Option<Priority> {
-        self.cpus.iter().filter_map(|cq| cq.top()).max()
+        let any = self.cpus.iter().fold(0, |m, cq| m | cq.mask);
+        any.checked_ilog2().map(|p| p as Priority)
     }
 
     /// Remove a specific slot from wherever it is queued (thread unloaded
@@ -180,15 +192,14 @@ impl Scheduler {
             return false;
         }
         self.queued[slot as usize] = false;
-        for cq in &mut self.cpus {
-            for level in &mut cq.levels {
-                if let Some(pos) = level.iter().position(|&s| s == slot) {
-                    level.remove(pos);
-                    return true;
-                }
+        let home = self.home_of(slot);
+        let cq = &mut self.cpus[home];
+        for p in levels_desc(cq.mask) {
+            if let Some(pos) = cq.levels[p].iter().position(|&s| s == slot) {
+                return cq.take(p, pos).is_some();
             }
         }
-        debug_assert!(false, "slot {slot} flagged queued but in no ready queue");
+        debug_assert!(false, "slot {slot} flagged queued but not on its home CPU");
         false
     }
 
@@ -206,16 +217,28 @@ impl Scheduler {
         self.queued.get(slot as usize).copied().unwrap_or(false)
     }
 
-    /// Check the queued bits against the queues themselves: every queue
-    /// entry flagged, no slot queued twice, no flag without an entry.
+    /// Check the queued bits and level masks against the queues
+    /// themselves: every queue entry flagged and on its home CPU, no slot
+    /// queued twice, no flag without an entry, and each mask bit set
+    /// exactly when its level is non-empty.
     pub fn check_queued_bits(&self) -> Result<(), String> {
         let mut seen = vec![false; self.queued.len()];
-        for &slot in self.cpus.iter().flat_map(|cq| cq.levels.iter().flatten()) {
-            if !self.contains(slot) {
-                return Err(format!("slot {slot} queued but not flagged"));
-            }
-            if core::mem::replace(&mut seen[slot as usize], true) {
-                return Err(format!("slot {slot} queued twice"));
+        for (cpu, cq) in self.cpus.iter().enumerate() {
+            for (p, level) in cq.levels.iter().enumerate() {
+                if (cq.mask & (1 << p) != 0) == level.is_empty() {
+                    return Err(format!("cpu {cpu} mask bit {p} disagrees with its queue"));
+                }
+                for &slot in level {
+                    if !self.contains(slot) {
+                        return Err(format!("slot {slot} queued but not flagged"));
+                    }
+                    if self.home_of(slot) != cpu {
+                        return Err(format!("slot {slot} queued off its home CPU"));
+                    }
+                    if core::mem::replace(&mut seen[slot as usize], true) {
+                        return Err(format!("slot {slot} queued twice"));
+                    }
+                }
             }
         }
         match (0..seen.len()).find(|&s| self.queued[s] != seen[s]) {
@@ -228,10 +251,18 @@ impl Scheduler {
     pub fn ready_count(&self) -> usize {
         self.cpus
             .iter()
-            .map(|cq| cq.levels.iter().map(|l| l.len()).sum::<usize>())
+            .map(|cq| {
+                levels_desc(cq.mask)
+                    .map(|p| cq.levels[p].len())
+                    .sum::<usize>()
+            })
             .sum()
     }
 }
+
+#[cfg(test)]
+#[path = "../../../tests/spec/sched.rs"]
+mod spec;
 
 #[cfg(test)]
 mod tests {
@@ -390,48 +421,80 @@ mod tests {
         s.check_queued_bits().unwrap();
     }
 
-    /// The queued bit follows every path in and out of the queues —
-    /// enqueue, own-queue pick, steal, remove, requeue, re-homing — and
-    /// the checker catches a bit and a queue that disagree.
+    /// The scheduler against the scan-based model in
+    /// `tests/spec/sched.rs`, step for step, from 1–4 CPUs over all 32
+    /// levels with `set_cpus` re-homing: after every enqueue, pick,
+    /// remove, requeue or re-home both agree on the pick (slot,
+    /// priority, steal victim), the steal count, the top priority, the
+    /// ready count and the touched slot's membership, and the queued
+    /// bits and level masks pass the checker. Then the checker catches a
+    /// mask bit or a queued bit that disagrees with the queues.
     #[test]
     fn queued_bits_track_membership() {
-        let mut s = Scheduler::new(10);
-        s.set_cpus(3);
-        let mut queued = std::collections::BTreeSet::new();
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
-        for round in 0..5_000u32 {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let slot = (rng >> 8) as u16 % 40;
-            match rng % 5 {
-                0 | 1 if !queued.contains(&slot) => {
-                    s.enqueue(slot, (rng >> 32) as Priority % 32);
-                    queued.insert(slot);
-                }
-                2 => {
-                    if let Some(p) = s.pick((rng >> 40) as usize % s.num_cpus()) {
-                        assert!(queued.remove(&p.slot));
-                    } else {
-                        assert!(queued.is_empty());
+        for cpus in 1..=4 {
+            let mut s = Scheduler::new(10);
+            s.set_cpus(cpus);
+            let mut m = spec::Model::new(cpus);
+            let mut rng = 0x2545_f491_4f6c_dd1du64 + cpus as u64;
+            for round in 0..5_000u32 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let slot = (rng >> 8) as u16 % 40;
+                // Half the draws crowd three levels so CPUs tie at the
+                // top and the own-CPU preference decides.
+                let prio = match (rng >> 32) as u8 % 64 {
+                    x if x < 32 => x,
+                    x => [0, 15, 31][x as usize % 3],
+                };
+                let at = format!("{cpus} cpus, round {round}");
+                match rng % 6 {
+                    0 | 1 if !m.contains(slot) => {
+                        s.enqueue(slot, prio);
+                        m.enqueue(slot, prio);
+                    }
+                    2 | 3 => {
+                        let cpu = (rng >> 40) as usize % s.num_cpus();
+                        let pick = s.pick(cpu).map(|p| (p.slot, p.priority, p.stolen_from));
+                        assert_eq!(pick, m.pick(cpu), "{at}: pick on cpu {cpu}");
+                    }
+                    4 => assert_eq!(s.remove(slot), m.remove(slot), "{at}: remove"),
+                    5 if round % 97 == 0 => {
+                        let n = 1 + (rng >> 50) as usize % 4;
+                        s.set_cpus(n);
+                        m.set_cpus(n);
+                    }
+                    _ => {
+                        s.requeue(slot, prio);
+                        m.requeue(slot, prio);
                     }
                 }
-                3 => assert_eq!(s.remove(slot), queued.remove(&slot)),
-                4 if round % 97 == 0 => s.set_cpus(1 + (rng >> 50) as usize % 4),
-                _ => s.requeue(slot, (rng >> 32) as Priority % 32),
+                assert_eq!(s.steals, m.steals, "{at}: steals");
+                assert_eq!(s.top_priority(), m.top_priority(), "{at}: top priority");
+                assert_eq!(s.ready_count(), m.ready_count(), "{at}: ready count");
+                assert_eq!(s.contains(slot), m.contains(slot), "{at}: slot {slot}");
+                s.check_queued_bits().unwrap();
             }
-            for slot in 0..40 {
-                assert_eq!(s.contains(slot), queued.contains(&slot), "round {round}");
-            }
-            assert_eq!(s.ready_count(), queued.len());
-            s.check_queued_bits().unwrap();
+            assert!(s.steals > 0 || s.num_cpus() == 1, "{cpus} cpus: no steal");
         }
-        // A bit without an entry, and an entry without a bit.
-        if let Some(&slot) = queued.iter().next() {
-            s.queued[slot as usize] = false;
-            assert!(s.check_queued_bits().is_err());
-            s.queued[slot as usize] = true;
-        }
+
+        let mut s = Scheduler::new(10);
+        s.set_cpus(2);
+        s.enqueue(1, 7);
+        s.check_queued_bits().unwrap();
+        // A mask bit on an empty level, and a non-empty level whose bit
+        // is clear.
+        s.cpus[0].mask |= 1 << 3;
+        assert!(s.check_queued_bits().is_err());
+        s.cpus[0].mask = 0;
+        s.cpus[1].mask &= !(1 << 7);
+        assert!(s.check_queued_bits().is_err());
+        s.cpus[1].mask |= 1 << 7;
+        s.check_queued_bits().unwrap();
+        // A queued bit without an entry, and an entry without a bit.
+        s.queued[1] = false;
+        assert!(s.check_queued_bits().is_err());
+        s.queued[1] = true;
         s.queued.resize(64, false);
         s.queued[63] = true;
         assert!(s.check_queued_bits().is_err());

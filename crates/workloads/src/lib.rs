@@ -21,25 +21,41 @@ pub fn rng(seed: u64) -> StdRng {
 
 /// Zipf-distributed indices over `0..n` with skew `theta` (0 = uniform,
 /// ~1 = classic web/db skew). Uses the standard inverse-CDF construction
-/// over precomputed harmonic weights.
+/// over precomputed harmonic weights, with a guide table that narrows
+/// each draw's search to one bucket of the CDF.
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` counts the CDF entries below `j / g` for `j < g`, and
+    /// `guide[g]` is `n`, where `g = n.next_power_of_two()`. A variate
+    /// `u` in `[j/g, (j+1)/g)` maps to an index in
+    /// `guide[j]..=guide[j+1]`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
     /// Build the distribution for `n` items with skew `theta`.
     pub fn new(n: u32, theta: f64) -> Self {
         assert!(n > 0);
-        let mut weights: Vec<f64> = (1..=n as u64)
+        let mut cdf: Vec<f64> = (1..=n as u64)
             .map(|k| 1.0 / (k as f64).powf(theta))
             .collect();
-        let total: f64 = weights.iter().sum();
+        let total: f64 = cdf.iter().sum();
         let mut acc = 0.0;
-        for w in weights.iter_mut() {
+        for w in cdf.iter_mut() {
             acc += *w / total;
             *w = acc;
         }
-        Zipf { cdf: weights }
+        // One merge pass of the bucket edges against the CDF.
+        let g = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(g as usize + 1);
+        let mut below = 0;
+        for j in 0..g {
+            let edge = j as f64 / g as f64;
+            below += cdf[below..].iter().take_while(|&&c| c < edge).count();
+            guide.push(below as u32);
+        }
+        guide.push(n);
+        Zipf { cdf, guide }
     }
 
     /// Draw one index.
@@ -49,14 +65,16 @@ impl Zipf {
     }
 
     /// Map a uniform variate in [0, 1) to an index — the inverse-CDF
-    /// step alone, for callers bringing their own uniform stream.
+    /// step alone, for callers bringing their own uniform stream. The
+    /// result is the number of CDF entries below `u` (clamped to the
+    /// last index), the same index a binary search over the whole CDF
+    /// finds; `u * g` is exact because `g` is a power of two.
     pub fn sample_unit(&self, u: f64) -> u32 {
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).unwrap_or(std::cmp::Ordering::Less))
-        {
-            Ok(i) | Err(i) => (i as u32).min(self.cdf.len() as u32 - 1),
-        }
+        let g = self.guide.len() - 1;
+        let j = ((u * g as f64) as usize).min(g - 1);
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        let i = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        (i as u32).min(self.cdf.len() as u32 - 1)
     }
 
     /// Draw `count` indices.

@@ -54,7 +54,7 @@
 use cache_kernel::{AppKernel, ClusterEvent, Env, FaultDisposition, ObjId, TrapDisposition};
 use hw::{Fault, Packet};
 use libkern::{Backoff, Deadline, PageMap, RetryBudget};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Fabric channel for front-kernel request forwarding.
 pub const WEB_CHANNEL: u32 = 0xffff_0004;
@@ -388,8 +388,10 @@ pub struct WebFrontKernel {
     waves_done: u64,
     /// Closed-loop wakeups to discard (clients a down-wave hung up).
     to_drop: u64,
-    /// Outstanding requests by id.
-    inflight: BTreeMap<u64, Req>,
+    /// Outstanding requests in ascending id order: ids are issued
+    /// monotonically, so admission appends, and a reply (usually to one
+    /// of the oldest) finds its entry by binary search.
+    inflight: VecDeque<(u64, Req)>,
     /// Shed/expired requests waiting out their backoff: keyed by
     /// (due cycle, id) so the tick scan pops them in order.
     parked: BTreeMap<(u64, u64), Req>,
@@ -442,7 +444,7 @@ impl WebFrontKernel {
             thinkers,
             waves_done: 0,
             to_drop: 0,
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
             parked: BTreeMap::new(),
             next_id: 0,
             budget: cfg.budget,
@@ -708,7 +710,7 @@ impl WebFrontKernel {
         req.hedged = 0;
         let id = self.next_id;
         self.next_id += 1;
-        self.inflight.insert(id, req);
+        self.inflight.push_back((id, req));
         let data = if dst == owner {
             encode_request(id, req.key)
         } else {
@@ -828,22 +830,21 @@ impl WebFrontKernel {
     /// retries.
     fn pump_timers(&mut self, env: &mut Env, now: u64) {
         if self.cfg.deadline > 0 {
-            let expired: Vec<u64> = self
+            let expired: Vec<Req> = self
                 .inflight
                 .iter()
                 .filter(|(_, r)| r.deadline.expired(now))
-                .map(|(&id, _)| id)
+                .map(|&(_, r)| r)
                 .collect();
-            for id in expired {
-                if let Some(req) = self.inflight.remove(&id) {
-                    self.stats.expired += 1;
-                    if req.hedged == 1 {
-                        // Neither copy answered in time: the hedge
-                        // token bought nothing.
-                        self.stats.hedges_wasted += 1;
-                    }
-                    self.maybe_retry(now, req);
+            self.inflight.retain(|(_, r)| !r.deadline.expired(now));
+            for req in expired {
+                self.stats.expired += 1;
+                if req.hedged == 1 {
+                    // Neither copy answered in time: the hedge token
+                    // bought nothing.
+                    self.stats.hedges_wasted += 1;
                 }
+                self.maybe_retry(now, req);
             }
         }
         self.pump_hedges(env, now);
@@ -869,39 +870,29 @@ impl WebFrontKernel {
         if self.cfg.hedge_after == 0 {
             return;
         }
-        let due: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, r)| {
-                r.hedged == 0 && now.saturating_sub(r.sent_at) >= self.hedge_delay(r.primary)
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            let Some(&req) = self.inflight.get(&id) else {
+        // Each step reads and writes only its own entry, so one pass in
+        // id order decides exactly what a snapshot of the due set would.
+        for i in 0..self.inflight.len() {
+            let (id, req) = self.inflight[i];
+            if req.hedged != 0 || now.saturating_sub(req.sent_at) < self.hedge_delay(req.primary) {
                 continue;
-            };
+            }
             let Some(dst) = self.best_peer(req.primary) else {
                 // Nowhere to hedge to (two-node cluster, or every peer
                 // suspect): stop rescanning this request.
-                if let Some(r) = self.inflight.get_mut(&id) {
-                    r.hedged = 2;
-                }
+                self.inflight[i].1.hedged = 2;
                 continue;
             };
             if !self.budget.try_spend(now) {
                 self.stats.hedges_denied += 1;
-                if let Some(r) = self.inflight.get_mut(&id) {
-                    r.hedged = 2;
-                }
+                self.inflight[i].1.hedged = 2;
                 continue;
             }
             self.stats.attempts += 1;
             self.stats.hedges_sent += 1;
-            if let Some(r) = self.inflight.get_mut(&id) {
-                r.hedged = 1;
-                r.hedge_dst = dst;
-            }
+            let r = &mut self.inflight[i].1;
+            r.hedged = 1;
+            r.hedge_dst = dst;
             env.outbox.push(Packet {
                 src: self.cfg.node,
                 dst,
@@ -1005,28 +996,15 @@ impl AppKernel for WebFrontKernel {
         }
         let now = env.mpm.clock.cycles();
         match decode(data) {
-            Some(Frame::Request { id, key }) => {
-                // Serve a peer's forwarded request if this node is the
-                // current owner of the key; a mis-routed request (the
-                // stripe moved under the sender) is dropped and the
-                // sender's deadline path re-drives it to the new owner.
-                if self.owner_of(key) != self.cfg.node {
-                    return;
-                }
-                let page = self.page_of(key);
-                let hit = self.serve_page(env, page);
-                self.stats.served_remote += 1;
-                env.outbox.push(Packet {
-                    src: self.cfg.node,
-                    dst: src,
-                    channel: WEB_CHANNEL,
-                    data: encode_reply(id, hit),
-                });
-            }
-            Some(Frame::Hedge { id, key }) => {
-                // A hedge duplicate (or steered forward) is served
-                // unconditionally — ownership does not gate it, the
-                // sender already decided where the work should land.
+            // Serve a peer's forwarded request if this node is the
+            // current owner of the key; a mis-routed request (the stripe
+            // moved under the sender) is dropped and the sender's
+            // deadline path re-drives it to the new owner.
+            Some(Frame::Request { key, .. }) if self.owner_of(key) != self.cfg.node => return,
+            // A hedge duplicate (or steered forward) is served
+            // unconditionally — ownership does not gate it, the sender
+            // already decided where the work should land.
+            Some(Frame::Request { id, key } | Frame::Hedge { id, key }) => {
                 let page = self.page_of(key);
                 let hit = self.serve_page(env, page);
                 self.stats.served_remote += 1;
@@ -1038,7 +1016,8 @@ impl AppKernel for WebFrontKernel {
                 });
             }
             Some(Frame::Reply { id }) => {
-                if let Some(req) = self.inflight.remove(&id) {
+                let at = self.inflight.binary_search_by_key(&id, |&(id, _)| id);
+                if let Some((_, req)) = at.ok().and_then(|i| self.inflight.remove(i)) {
                     // First reply wins; the loser's reply finds the id
                     // gone and is dropped right here. Only the primary
                     // path samples the EWMA — the hedge left later than
@@ -1318,6 +1297,124 @@ mod tests {
             !adv.steer_worthy(2),
             "hedge_after 0 leaves only the advisory"
         );
+    }
+
+    /// The id-ordered request table against a `BTreeMap` replay: a
+    /// hedged first batch and an unhedged second batch, replies in
+    /// reverse and then random order (duplicates and unknown ids
+    /// included), then a non-prefix set of deadlines expiring. The
+    /// table keeps every surviving entry's hedge state, `outstanding()`
+    /// tracks the replay, and expiries re-enter in id order.
+    #[test]
+    fn request_table_replays_a_btreemap() {
+        let mut ck = cache_kernel::CacheKernel::new(cache_kernel::CkConfig::default());
+        let mut mpm = hw::Mpm::new(hw::MachineConfig {
+            phys_frames: 256,
+            ..hw::MachineConfig::default()
+        });
+        let mut code = cache_kernel::CodeStore::new();
+        let mut outbox = Vec::new();
+        let mut env = Env {
+            ck: &mut ck,
+            mpm: &mut mpm,
+            code: &mut code,
+            cpu: 0,
+            node: 0,
+            outbox: &mut outbox,
+        };
+        let mut k = WebFrontKernel::new(WebServingConfig {
+            node: 0,
+            cluster_nodes: 3,
+            deadline: 500,
+            hedge_after: 1_000,
+            ..WebServingConfig::default()
+        });
+        let mut rng = 27u64;
+        let mut replay: BTreeMap<u64, Req> = BTreeMap::new();
+        let keys = (1..).filter(|key| key % 3 != 0);
+        for (n, key) in keys.take(40).enumerate() {
+            // First batch at 0 (hedged at 1 000), second batch at 1 000.
+            let now = if n < 20 { 0 } else { 1_000 };
+            if n == 20 {
+                k.pump_hedges(&mut env, now);
+                for (&id, r) in replay.iter_mut() {
+                    let &(_, got) = k.inflight.iter().find(|e| e.0 == id).unwrap();
+                    assert_eq!((got.hedged, got.hedge_dst), (1, 3 - r.primary));
+                    *r = got;
+                }
+            }
+            let mut req = k.fresh(now, key);
+            req.deadline = Deadline::after(1_500, mix(&mut rng) % 500);
+            let id = k.next_id;
+            k.admit(&mut env, now, req);
+            let &(got_id, got) = k.inflight.back().unwrap();
+            assert_eq!((got_id, got.key, got.primary), (id, key, key as usize % 3));
+            replay.insert(id, got);
+        }
+        let check = |k: &WebFrontKernel, replay: &BTreeMap<u64, Req>| {
+            assert_eq!(k.outstanding().0, replay.len());
+            let got = k
+                .inflight
+                .iter()
+                .map(|&(id, r)| (id, r.key, r.hedged, r.hedge_dst));
+            let want = replay
+                .iter()
+                .map(|(&id, r)| (id, r.key, r.hedged, r.hedge_dst));
+            assert!(got.eq(want), "the table diverged from the replay");
+        };
+        let reply = |k: &mut WebFrontKernel, env: &mut Env, src: usize, id: u64| {
+            k.on_packet(env, src, WEB_CHANNEL, &encode_reply(id, true));
+        };
+        // Replies: the newest six in reverse order, then ten at random
+        // (from the hedge or the primary), then a loser's duplicate and
+        // an id never issued.
+        let ids: Vec<u64> = replay.keys().copied().collect();
+        for &id in ids.iter().rev().take(6) {
+            reply(&mut k, &mut env, replay[&id].primary, id);
+            replay.remove(&id);
+            check(&k, &replay);
+        }
+        for _ in 0..10 {
+            let ids: Vec<u64> = replay.keys().copied().collect();
+            let id = ids[mix(&mut rng) as usize % ids.len()];
+            let r = replay.remove(&id).unwrap();
+            let src = if r.hedged == 1 && mix(&mut rng).is_multiple_of(2) {
+                r.hedge_dst
+            } else {
+                r.primary
+            };
+            reply(&mut k, &mut env, src, id);
+            check(&k, &replay);
+            reply(&mut k, &mut env, 3 - src, id);
+            check(&k, &replay);
+        }
+        reply(&mut k, &mut env, 1, 10_000);
+        check(&k, &replay);
+        // Expire at the median deadline: a set that is not a prefix.
+        let mut deadlines: Vec<u64> = replay.values().map(|r| r.deadline.at).collect();
+        deadlines.sort_unstable();
+        let t = deadlines[deadlines.len() / 2];
+        let expired: Vec<u32> = replay
+            .values()
+            .filter(|r| r.deadline.expired(t))
+            .map(|r| r.key)
+            .collect();
+        let first_live = replay.values().position(|r| !r.deadline.expired(t));
+        let last_dead = replay.values().rposition(|r| r.deadline.expired(t));
+        assert!(
+            matches!((first_live, last_dead), (Some(a), Some(b)) if a < b),
+            "the expiring set is a prefix"
+        );
+        k.pump_timers(&mut env, t);
+        replay.retain(|_, r| !r.deadline.expired(t));
+        check(&k, &replay);
+        assert_eq!(k.stats.expired, expired.len() as u64);
+        let mut parked: Vec<(u64, u32)> =
+            k.parked.iter().map(|(&(_, id), r)| (id, r.key)).collect();
+        parked.sort_unstable();
+        let order: Vec<u32> = parked.iter().map(|&(_, key)| key).collect();
+        assert_eq!(order, expired, "expiries re-enter in id order");
+        assert_eq!(k.outstanding(), (replay.len(), expired.len()));
     }
 
     #[test]

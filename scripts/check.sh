@@ -60,7 +60,7 @@ cargo test -q -p vpp --test prop_chaos adversarial_caps_off_is_inert
 cargo test -q -p vpp --test integration_recovery restart_under_reduced_grant
 
 echo "== caps report smoke =="
-cargo run -q --release -p bench --bin report -- caps --json > /dev/null
+cargo run -q --release -p bench --bin report -- caps > /dev/null
 
 echo "== messaging report smoke =="
 cargo run -q --release -p bench --bin report -- msg > /dev/null

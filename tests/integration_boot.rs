@@ -72,7 +72,7 @@ fn srm_survives_churn() {
                 .unwrap()
         })
         .unwrap();
-        ex.dispatch_writebacks();
+        ex.pump_events();
     }
     assert!(ex.ck.kernel(srm_id).is_ok(), "first kernel never displaced");
     let saved = ex

@@ -78,11 +78,6 @@ pub fn opaque_payload(paddr: Paddr) -> u64 {
 }
 
 impl CacheKernel {
-    /// Whether capability enforcement is armed.
-    pub fn caps_enforced(&self) -> bool {
-        self.config.caps_enforce
-    }
-
     /// The rights `caller` holds on `paddr`'s page group, if it is a
     /// loaded kernel. The first kernel implicitly holds everything.
     fn rights_of(&self, caller: ObjId, paddr: Paddr) -> Rights {

@@ -701,11 +701,6 @@ impl CacheKernel {
         self.threads.id_of_slot(slot)
     }
 
-    /// Current id of a space slot.
-    pub fn space_id(&self, slot: u16) -> Option<ObjId> {
-        self.spaces.id_of_slot(slot)
-    }
-
     /// The hardware page tables of a loaded space. The MMU walks these on
     /// a TLB miss; the executive (and tests standing in for it) pass them
     /// to [`hw::Mpm::translate`].

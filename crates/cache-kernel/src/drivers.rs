@@ -48,12 +48,6 @@ pub struct EtherDriver {
 }
 
 impl EtherDriver {
-    /// Bytes of physical memory the driver needs for rings + buffers.
-    pub fn footprint_frames() -> u32 {
-        // 1 frame for both rings + RING_ENTRIES frames per direction.
-        1 + 2 * RING_ENTRIES
-    }
-
     /// Initialize the driver over `frames_base..`: lay out rings and
     /// buffers, program the MAC, and stock the receive ring.
     pub fn new(mpm: &mut Mpm, frames_base: u32) -> Self {

@@ -335,11 +335,6 @@ impl Machine {
         self.nodes.len()
     }
 
-    /// Whether this machine is sharded (vs. a classic cluster).
-    pub fn is_sharded(&self) -> bool {
-        self.mesh.is_some()
-    }
-
     /// The mode the machine will actually run in: the configured mode,
     /// except that the `lockstep` cargo feature pins everything to
     /// lockstep (so a trace-pinned test suite can force determinism

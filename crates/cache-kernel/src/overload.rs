@@ -32,9 +32,8 @@
 //! reservations, unbounded writeback queues, detector disabled): the
 //! no-overload fast path is a handful of integer compares.
 
-use crate::counters::Counters;
 use crate::error::{CkError, CkResult};
-use crate::ids::{ObjId, ObjKind};
+use crate::ids::ObjId;
 use crate::objects::ReservedSlots;
 use std::collections::BTreeMap;
 
@@ -307,12 +306,6 @@ impl crate::ck::CacheKernel {
     pub fn kernel_thrash_penalized(&self, kernel: ObjId, class: usize) -> bool {
         self.overload
             .penalized(kernel.slot, class, self.stats.loads[class])
-    }
-
-    /// Stats-class index helper re-exported for harness code building
-    /// reservation tables.
-    pub fn class_of(kind: ObjKind) -> usize {
-        Counters::idx_pub(kind)
     }
 }
 

@@ -105,11 +105,6 @@ impl CacheKernel {
         self.restart_notices.pop_front()
     }
 
-    /// Restart notices awaiting the executive.
-    pub fn pending_restart_notices(&self) -> usize {
-        self.restart_notices.len()
-    }
-
     /// Reclaim everything a dead kernel had loaded (first-kernel
     /// privilege). Marks the kernel dead first if the caller has not
     /// already; then one dependency-ordered sweep — threads, mappings,

@@ -60,11 +60,6 @@ impl ShootdownBatch {
             && self.threads.is_empty()
     }
 
-    /// Page flushes recorded so far.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     fn clear(&mut self) {
         self.pages.clear();
         self.asids.clear();

@@ -34,7 +34,7 @@ pub use fabric::{Fabric, LinkStats, Packet};
 pub use faults::{FabricEvent, FaultPlan, FaultRng, FaultStats, FrameFate, KillPoint};
 pub use l2::{L2Cache, L2Stats};
 pub use machine::{MachineConfig, Mpm, Translation};
-pub use mem::{MemError, PhysMem};
+pub use mem::{MemError, PageImage, PhysMem};
 pub use pagetable::{PageTable, Pte};
 pub use ring::{mpsc, spsc, MpscRx, MpscTx, RingRx, RingTx};
 pub use rtlb::{Rtlb, RtlbEntry, RtlbStats};

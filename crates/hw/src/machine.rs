@@ -268,13 +268,6 @@ impl Mpm {
         }
     }
 
-    /// Flush an address space from every CPU's TLB (address-space unload).
-    pub fn flush_asid_all_cpus(&mut self, asid: Asid) {
-        for c in &mut self.cpus {
-            c.tlb.flush_asid(asid);
-        }
-    }
-
     /// Invalidate a frame in every CPU's reverse TLB.
     pub fn rtlb_invalidate_all_cpus(&mut self, pfn: crate::types::Pfn) {
         for c in &mut self.cpus {

@@ -5,8 +5,22 @@
 //! of bus space) while only paying for frames actually used. Page-frame
 //! *ownership* is not tracked here — that is application-kernel policy,
 //! enforced by the Cache Kernel's memory access arrays.
+//!
+//! A frame holds either its own bytes or one shared, immutable
+//! [`PageImage`], never both. Sharing makes a page-in from a backing store
+//! that keeps images a reference-count bump instead of a 4 KiB copy; the
+//! first write to a shared frame copies the image into bytes of its own,
+//! in `frame_mut`, the one place every mutation passes through. An access
+//! to a frame that owns its bytes never looks at the images.
 
 use crate::types::{Paddr, Pfn, PAGE_SIZE};
+use std::sync::Arc;
+
+type Page = [u8; PAGE_SIZE as usize];
+
+/// An immutable 4 KiB page image, shared by the frames and the stores that
+/// hold it.
+pub type PageImage = Arc<Page>;
 
 /// Errors raised by physical-memory operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,8 +33,11 @@ pub enum MemError {
 
 /// Simulated physical memory with lazily materialized 4 KiB frames.
 pub struct PhysMem {
-    frames: Vec<Option<Box<[u8; PAGE_SIZE as usize]>>>,
-    resident: usize,
+    /// The frames that own their bytes.
+    frames: Vec<Option<Box<Page>>>,
+    /// The frames that share an image instead: `None` wherever `frames` is
+    /// `Some`. Empty until the first `share_in`.
+    shared: Vec<Option<PageImage>>,
 }
 
 impl PhysMem {
@@ -30,18 +47,8 @@ impl PhysMem {
         v.resize_with(frames, || None);
         PhysMem {
             frames: v,
-            resident: 0,
+            shared: Vec::new(),
         }
-    }
-
-    /// Number of configured page frames.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Number of frames that have been materialized by an access.
-    pub fn resident_frames(&self) -> usize {
-        self.resident
     }
 
     /// Whether `pfn` is a valid frame of this memory.
@@ -49,16 +56,67 @@ impl PhysMem {
         (pfn.0 as usize) < self.frames.len()
     }
 
-    fn frame_mut(&mut self, pfn: Pfn) -> Result<&mut [u8; PAGE_SIZE as usize], MemError> {
-        let idx = pfn.0 as usize;
-        if idx >= self.frames.len() {
-            return Err(MemError::OutOfRange(pfn.base()));
+    fn index(&self, pfn: Pfn) -> Result<usize, MemError> {
+        match pfn.0 as usize {
+            idx if idx < self.frames.len() => Ok(idx),
+            _ => Err(MemError::OutOfRange(pfn.base())),
         }
+    }
+
+    /// The image frame `idx` shares, if it shares one.
+    fn image(&self, idx: usize) -> Option<&PageImage> {
+        self.shared.get(idx)?.as_ref()
+    }
+
+    fn frame_mut(&mut self, pfn: Pfn) -> Result<&mut Page, MemError> {
+        let idx = self.index(pfn)?;
         if self.frames[idx].is_none() {
-            self.frames[idx] = Some(Box::new([0u8; PAGE_SIZE as usize]));
-            self.resident += 1;
+            self.own(idx);
         }
         Ok(self.frames[idx].as_mut().unwrap())
+    }
+
+    /// Give frame `idx` bytes of its own: a private copy of the image it
+    /// shares (the copy-on-write step), or zeroes.
+    #[cold]
+    fn own(&mut self, idx: usize) {
+        let mut page = Box::new([0u8; PAGE_SIZE as usize]);
+        if let Some(image) = self.shared.get_mut(idx).and_then(Option::take) {
+            page.copy_from_slice(&image[..]);
+        }
+        self.frames[idx] = Some(page);
+    }
+
+    /// Read from a frame that owns no bytes: its shared image, or zeroes.
+    #[cold]
+    fn read_unowned(&self, idx: usize, in_page: usize, out: &mut [u8]) {
+        match self.image(idx) {
+            Some(image) => out.copy_from_slice(&image[in_page..in_page + out.len()]),
+            None => out.fill(0),
+        }
+    }
+
+    /// Make `image` the contents of `pfn` without copying it. The frame's
+    /// first write takes a private copy; the image itself never changes.
+    pub fn share_in(&mut self, pfn: Pfn, image: &PageImage) -> Result<(), MemError> {
+        let idx = self.index(pfn)?;
+        if self.shared.is_empty() {
+            self.shared.resize(self.frames.len(), None);
+        }
+        self.frames[idx] = None;
+        self.shared[idx] = Some(Arc::clone(image));
+        Ok(())
+    }
+
+    /// The contents of `pfn` as an image: the image it shares, or a copy of
+    /// its own bytes (zeroes if it was never written).
+    pub fn image_of(&self, pfn: Pfn) -> Result<PageImage, MemError> {
+        let idx = self.index(pfn)?;
+        Ok(match (&self.frames[idx], self.image(idx)) {
+            (Some(own), _) => Arc::new(**own),
+            (None, Some(image)) => Arc::clone(image),
+            (None, None) => Arc::new([0u8; PAGE_SIZE as usize]),
+        })
     }
 
     /// Read `buf.len()` bytes starting at `addr`. Reads of frames never
@@ -76,7 +134,7 @@ impl PhysMem {
             let n = core::cmp::min(buf.len() - off, PAGE_SIZE as usize - in_page);
             match &self.frames[pfn] {
                 Some(f) => buf[off..off + n].copy_from_slice(&f[in_page..in_page + n]),
-                None => buf[off..off + n].fill(0),
+                None => self.read_unowned(pfn, in_page, &mut buf[off..off + n]),
             }
             off += n;
             a += n as u64;
@@ -147,6 +205,40 @@ impl PhysMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PhysMem {
+        /// Frames that hold bytes of their own (the laziness checks).
+        fn resident_frames(&self) -> usize {
+            self.frames.iter().filter(|f| f.is_some()).count()
+        }
+    }
+
+    #[test]
+    fn shared_image_is_copied_on_the_first_write_only() {
+        let mut m = PhysMem::new(4);
+        let image: PageImage = Arc::new([7u8; PAGE_SIZE as usize]);
+        m.share_in(Pfn(1), &image).unwrap();
+        m.share_in(Pfn(2), &image).unwrap();
+        assert_eq!(m.resident_frames(), 0, "sharing copies nothing");
+        assert!(Arc::ptr_eq(&m.image_of(Pfn(2)).unwrap(), &image));
+        m.write(Paddr(0x1000), b"own").unwrap();
+        assert_eq!(m.resident_frames(), 1);
+        assert_eq!(Arc::strong_count(&image), 2, "frame 1 let go of it");
+        let mut b = [0u8; 4];
+        m.read(Paddr(0x1000), &mut b).unwrap();
+        assert_eq!(&b, b"own\x07");
+        m.read(Paddr(0x2000), &mut b).unwrap();
+        assert_eq!(b, [7; 4], "the sibling frame still reads the image");
+        assert!(image.iter().all(|&x| x == 7), "the image never changes");
+        // Sharing over a frame's own bytes drops them.
+        m.share_in(Pfn(1), &image).unwrap();
+        assert_eq!(m.resident_frames(), 0);
+        assert_eq!(m.read_u32(Paddr(0x1000)).unwrap(), 0x0707_0707);
+        assert_eq!(
+            m.share_in(Pfn(4), &image),
+            Err(MemError::OutOfRange(Paddr(4 * PAGE_SIZE)))
+        );
+    }
 
     #[test]
     fn read_unwritten_is_zero_and_lazy() {

@@ -69,11 +69,6 @@ impl Rtlb {
         }
     }
 
-    /// Whether the fast path is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     #[inline]
     fn slot(&self, pfn: Pfn) -> usize {
         (pfn.0 as usize) & (self.slots.len() - 1)

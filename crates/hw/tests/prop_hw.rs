@@ -1,6 +1,7 @@
 //! Property tests for the hardware substrate: the page-table tree
 //! against a model map, TLB/page-table coherence under the flush
-//! discipline, and physical-memory byte-accuracy.
+//! discipline, and physical-memory byte-accuracy, including shared page
+//! images against the copying model in `tests/spec/physmem.rs`.
 
 use hw::{
     Access, MachineConfig, Mpm, Paddr, PageTable, Pfn, Pte, Rtlb, RtlbEntry, Tlb, Vaddr, Vpn,
@@ -8,6 +9,16 @@ use hw::{
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+#[path = "../../../tests/spec/physmem.rs"]
+mod physmem;
+
+#[test]
+fn phys_mem_with_shared_images_matches_the_copying_model() {
+    for seed in 1..=12 {
+        physmem::assert_matches_model(seed, 1_500);
+    }
+}
 
 #[derive(Clone, Debug)]
 enum PtOp {

@@ -10,7 +10,7 @@
 //! random or sequential access").
 
 use cache_kernel::{CacheKernel, CkError, CkResult, ObjId};
-use hw::{Mpm, Paddr, Pfn, Pte, Vaddr, PAGE_GROUP_PAGES, PAGE_SIZE};
+use hw::{Mpm, Paddr, PageImage, Pfn, Pte, Vaddr, PAGE_GROUP_PAGES, PAGE_SIZE};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -134,9 +134,12 @@ impl FrameAllocator {
 /// Backing store for segment pages (the application kernel is the backing
 /// store for Cache Kernel state; the *data* backing store models its disk
 /// or network file service). Reads and writes charge paging I/O time.
+///
+/// Pages are immutable [`PageImage`]s that frames share copy-on-write, so
+/// a page-in or page-out moves a reference, not 4 KiB of host memory.
 #[derive(Default)]
 pub struct BackingStore {
-    pages: PageMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: PageMap<u64, PageImage>,
     /// Pages read in.
     pub reads: u64,
     /// Pages written out.
@@ -151,10 +154,10 @@ impl BackingStore {
 
     /// Store a page image under `key` (no I/O charge: initialization).
     pub fn seed(&mut self, key: u64, data: &[u8]) {
-        let mut page = Box::new([0u8; PAGE_SIZE as usize]);
-        page[..data.len().min(PAGE_SIZE as usize)]
-            .copy_from_slice(&data[..data.len().min(PAGE_SIZE as usize)]);
-        self.pages.insert(key, page);
+        let mut page = [0u8; PAGE_SIZE as usize];
+        let n = data.len().min(page.len());
+        page[..n].copy_from_slice(&data[..n]);
+        self.pages.insert(key, PageImage::new(page));
     }
 
     /// Whether a page exists under `key`.
@@ -168,36 +171,18 @@ impl BackingStore {
         mpm.clock.charge(mpm.config.cost.page_io);
         self.reads += 1;
         match self.pages.get(&key) {
-            Some(data) => {
-                mpm.mem
-                    .write(frame.base(), &data[..])
-                    .expect("frame in range");
-            }
-            None => {
-                mpm.mem.zero_frame(frame).expect("frame in range");
-            }
+            Some(image) => mpm.mem.share_in(frame, image),
+            None => mpm.mem.zero_frame(frame),
         }
+        .expect("frame in range");
     }
 
     /// Page a frame out to the store, charging I/O time.
     pub fn page_out(&mut self, mpm: &mut Mpm, key: u64, frame: Pfn) {
         mpm.clock.charge(mpm.config.cost.page_io);
         self.writes += 1;
-        let mut data = Box::new([0u8; PAGE_SIZE as usize]);
-        mpm.mem
-            .read(frame.base(), &mut *data)
-            .expect("frame in range");
-        self.pages.insert(key, data);
-    }
-
-    /// Number of stored pages.
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        let image = mpm.mem.image_of(frame).expect("frame in range");
+        self.pages.insert(key, image);
     }
 }
 
@@ -525,7 +510,9 @@ pub struct SegmentManager {
     pub space: ObjId,
     regions: Vec<Region>,
     segments: PageMap<u32, Segment>,
-    resident: PageMap<Vaddr, Pfn>,
+    /// Each resident page's frame, and whether a mapping writeback reported
+    /// it modified (the mapping itself may be gone by eviction time).
+    resident: PageMap<Vaddr, (Pfn, bool)>,
     /// The replacement policy (overridable, and visible so owners can
     /// feed it application-specific touch information).
     pub policy: Box<dyn ReplacementPolicy>,
@@ -599,7 +586,7 @@ impl SegmentManager {
             return Ok(false);
         };
         let flags = region.flags;
-        if let Some(&pfn) = self.resident.get(&page) {
+        if let Some(&(pfn, _)) = self.resident.get(&page) {
             // Mapping was written back by the Cache Kernel but the frame
             // is still ours: just reload the mapping.
             self.policy.touched(page);
@@ -627,7 +614,7 @@ impl SegmentManager {
         }
         let pfn = frames.alloc().ok_or(CkError::CacheFull)?;
         store.page_in(mpm, key, pfn);
-        self.resident.insert(page, pfn);
+        self.resident.insert(page, (pfn, false));
         self.policy.inserted(page);
         ck.load_mapping_and_resume(
             kernel,
@@ -644,7 +631,8 @@ impl SegmentManager {
     }
 
     /// Evict one page per the policy: unload its mapping (collecting the
-    /// modified bit), write it out if dirty, free the frame.
+    /// modified bit), write it out if that bit or an earlier mapping
+    /// writeback says it is dirty, free the frame.
     pub fn evict_one(
         &mut self,
         kernel: ObjId,
@@ -657,8 +645,8 @@ impl SegmentManager {
             Some(v) => v,
             None => return Ok(false),
         };
-        let pfn = match self.resident.remove(&victim) {
-            Some(p) => p,
+        let (pfn, written_back_dirty) = match self.resident.remove(&victim) {
+            Some(r) => r,
             None => {
                 self.policy.removed(victim);
                 return Ok(false);
@@ -667,10 +655,8 @@ impl SegmentManager {
         self.policy.removed(victim);
         self.evictions += 1;
         let states = ck.unload_mapping_range(kernel, self.space, victim, PAGE_SIZE, mpm)?;
-        let dirty = states
-            .first()
-            .map(|s| s.flags & Pte::MODIFIED != 0)
-            .unwrap_or(false);
+        let dirty =
+            written_back_dirty || states.first().is_some_and(|s| s.flags & Pte::MODIFIED != 0);
         if dirty {
             let region = self.region_of(victim).ok_or(CkError::Invalid)?;
             store.page_out(mpm, self.store_key(region, victim)?, pfn);
@@ -698,40 +684,48 @@ impl SegmentManager {
     }
 
     /// Note a Cache Kernel mapping writeback for this space: the frame
-    /// stays resident (the manager still owns it); the referenced/modified
-    /// bits feed the policy. If the page was dirty, the store copy is NOT
-    /// updated here — that happens on eviction.
+    /// stays resident (the manager still owns it); the referenced bit
+    /// feeds the policy, and a modified bit marks the page dirty. The
+    /// store copy is NOT updated here — that happens on eviction.
     pub fn on_mapping_writeback(&mut self, vaddr: Vaddr, flags: u32) {
+        let page = vaddr.page_base();
+        if flags & Pte::MODIFIED != 0 {
+            if let Some((_, dirty)) = self.resident.get_mut(&page) {
+                *dirty = true;
+            }
+        }
         if flags & Pte::REFERENCED != 0 {
-            self.policy.touched(vaddr.page_base());
+            self.policy.touched(page);
         }
     }
 
     /// Inject residency for a page already backed by `pfn` (copy-on-write
     /// fork: the child adopts the parent's frames as shared residents).
     pub fn adopt_resident(&mut self, page: Vaddr, pfn: Pfn) {
-        let page = page.page_base();
-        if self.resident.insert(page, pfn).is_none() {
-            self.policy.inserted(page);
+        if self.replace_frame(page, pfn).is_none() {
+            self.policy.inserted(page.page_base());
         }
     }
 
     /// Swap the frame backing a resident page (copy-on-write resolution
-    /// copied the data to a private frame).
+    /// copied the data to a private frame); the page stays as dirty as it
+    /// was.
     pub fn replace_frame(&mut self, page: Vaddr, pfn: Pfn) -> Option<Pfn> {
-        self.resident.insert(page.page_base(), pfn)
+        let page = page.page_base();
+        let dirty = self.resident.get(&page).is_some_and(|r| r.1);
+        self.resident.insert(page, (pfn, dirty)).map(|r| r.0)
     }
 
     /// Iterate the resident pages (fork needs to walk them).
     pub fn resident_pages(&self) -> Vec<(Vaddr, Pfn)> {
-        let mut v: Vec<(Vaddr, Pfn)> = self.resident.iter().map(|(a, p)| (*a, *p)).collect();
+        let mut v: Vec<(Vaddr, Pfn)> = self.resident.iter().map(|(a, p)| (*a, p.0)).collect();
         v.sort();
         v
     }
 
     /// The frame backing a resident page (diagnostics/tests).
     pub fn frame_of(&self, page: Vaddr) -> Option<Pfn> {
-        self.resident.get(&page.page_base()).copied()
+        self.resident.get(&page.page_base()).map(|r| r.0)
     }
 
     /// Physical address corresponding to a virtual address, if resident.
@@ -748,7 +742,11 @@ mod tests {
     use hw::MachineConfig;
 
     fn setup() -> (CacheKernel, Mpm, ObjId, ObjId) {
-        let mut ck = CacheKernel::new(CkConfig::default());
+        setup_with(CkConfig::default())
+    }
+
+    fn setup_with(config: CkConfig) -> (CacheKernel, Mpm, ObjId, ObjId) {
+        let mut ck = CacheKernel::new(config);
         let mut mpm = Mpm::new(MachineConfig {
             phys_frames: 2048,
             l2_bytes: 64 * 1024,
@@ -1032,5 +1030,53 @@ mod tests {
         let mut buf = [0u8; 6];
         mpm.mem.read(pfn.base(), &mut buf).unwrap();
         assert_eq!(&buf, b"dirty!");
+    }
+
+    #[test]
+    fn modified_bit_of_a_written_back_mapping_is_paged_out_on_eviction() {
+        // One mapping descriptor: faulting B makes the Cache Kernel write
+        // A's modified mapping back, so by the time A is evicted the only
+        // record that A is dirty is the writeback the manager was fed.
+        let (mut ck, mut mpm, srm, sp) = setup_with(CkConfig {
+            mapping_capacity: 1,
+            ..CkConfig::default()
+        });
+        let seg = Segment { id: 3, pages: 2 };
+        let mut sm = SegmentManager::new(sp, 2, Box::<Fifo>::default());
+        sm.add_segment(seg.clone());
+        sm.map_region(Region {
+            base: Vaddr(0x30_0000),
+            pages: 2,
+            segment: 3,
+            seg_offset: 0,
+            flags: Pte::WRITABLE | Pte::CACHEABLE,
+        });
+        let mut fa = FrameAllocator::from_frames(16..64);
+        let mut bs = BackingStore::new();
+        bs.seed(seg.key(0), b"orig");
+        let (a, b) = (Vaddr(0x30_0000), Vaddr(0x30_1000));
+        sm.handle_fault(srm, &mut ck, &mut mpm, &mut fa, &mut bs, a, 0)
+            .unwrap();
+        let asid = CacheKernel::asid_of(sp);
+        let pt = ck.page_table_mut(sp).unwrap();
+        let t = mpm.translate(0, asid, pt, a, hw::Access::Write).unwrap();
+        mpm.mem.write(t.paddr, b"new!").unwrap();
+        sm.handle_fault(srm, &mut ck, &mut mpm, &mut fa, &mut bs, b, 0)
+            .unwrap();
+        let mut modified = false;
+        for wb in ck.take_writebacks() {
+            if let cache_kernel::Writeback::Mapping { vaddr, flags, .. } = wb {
+                modified |= vaddr == a && flags & Pte::MODIFIED != 0;
+                sm.on_mapping_writeback(vaddr, flags);
+            }
+        }
+        assert!(modified, "A's mapping was written back modified");
+        sm.evict_all(srm, &mut ck, &mut mpm, &mut fa, &mut bs)
+            .unwrap();
+        assert_eq!(bs.writes, 1, "A paged out, clean B not");
+        bs.page_in(&mut mpm, seg.key(0), Pfn(100));
+        let mut buf = [0u8; 4];
+        mpm.mem.read(Pfn(100).base(), &mut buf).unwrap();
+        assert_eq!(&buf, b"new!");
     }
 }

@@ -225,17 +225,6 @@ impl RpcClient {
     }
 }
 
-/// Convenience: the sending side of cross-node RPC — encode a request as
-/// fabric packet data.
-pub fn net_request(seq: u32, method: u32, payload: Vec<u8>) -> Vec<u8> {
-    RpcMessage::request(seq, method, payload).encode()
-}
-
-/// Convenience: decode fabric packet data as an RPC message.
-pub fn net_decode(data: &[u8]) -> Option<RpcMessage> {
-    RpcMessage::decode(data)
-}
-
 /// Helper for a dead ObjId placeholder in marshaled structures.
 pub fn encode_objid(id: ObjId) -> u64 {
     let kind = match id.kind {

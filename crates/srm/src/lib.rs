@@ -229,18 +229,6 @@ impl Srm {
         Ok(id)
     }
 
-    /// Set (or clear, with zeros) a kernel's descriptor-slot reservation
-    /// (overload policy passthrough; first-kernel only in the Cache
-    /// Kernel, so this is the supported path for harnesses).
-    pub fn set_reservation(
-        &mut self,
-        env: &mut Env,
-        kernel: ObjId,
-        reserved: ReservedSlots,
-    ) -> CkResult<()> {
-        env.ck.set_kernel_reservation(self.me, kernel, reserved)
-    }
-
     /// The kernel id currently registered under `name`, if any.
     pub fn kernel_named(&self, name: &str) -> Option<ObjId> {
         self.names

@@ -176,11 +176,6 @@ impl UnixEmulator {
         self.procs.get(&pid)
     }
 
-    /// Pid of the process owning a thread id.
-    pub fn pid_of_thread(&self, t: ObjId) -> Option<Pid> {
-        self.threads.get(&t).copied()
-    }
-
     // ------------------------------------------------------------------
     // Process construction
     // ------------------------------------------------------------------

@@ -84,13 +84,6 @@ pub struct Process {
     pub pending_wait: bool,
 }
 
-impl Process {
-    /// Whether the process currently holds any Cache Kernel descriptors.
-    pub fn is_loaded(&self) -> bool {
-        self.space.is_some() || self.thread.is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -156,6 +156,12 @@ echo "== replacement O(1) gate (same-run ratio: an LRU touch at 8192 resident pa
 # the 16x larger pool may cost at most 3x (scripts/README.md).
 cargo test -q --release -p libkern --test replacement_scaling -- --ignored --nocapture
 
+echo "== copy-free page-in gate (same-run ratio: a backing-store page-in vs a 4 KiB write) =="
+# One process times both loops over the same pages and frames: a page-in
+# shares the stored image, so it may cost at most 0.25x writing the page
+# (scripts/README.md).
+cargo test -q --release -p libkern --test pagein_cost -- --ignored --nocapture
+
 echo "== ckbench gate (benchmark unit tests, BENCHMARK.json contract, exact sim fingerprints) =="
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 diff -u BENCHMARK.json <(ckbench --contract)
